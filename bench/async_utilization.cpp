@@ -20,7 +20,7 @@
 #include <thread>
 
 #include "harness_util.hpp"
-#include "exec/eval_engine.hpp"
+#include "api/study.hpp"
 #include "obs/metrics.hpp"
 #include "suite/report.hpp"
 #include "suite/runner.hpp"
@@ -91,15 +91,16 @@ run_mode(const SearchSpace& space, Method m, int budget, std::uint64_t seed,
     using Clock = std::chrono::steady_clock;
     std::unique_ptr<AskTellTuner> tuner =
         make_ask_tell(space, m, budget, /*doe_samples=*/8, seed);
-    EvalEngineOptions eopt;
-    eopt.num_threads = 4;
-    eopt.batch_size = 4;
-    eopt.async_mode = async;
-    eopt.suggest_ahead = suggest_ahead;
-    EvalEngine engine(eopt);
+    ExecRequest req;
+    req.policy = async ? ExecutionPolicy::Async(/*slots=*/4, /*num_threads=*/4,
+                                                suggest_ahead)
+                       : ExecutionPolicy::Batched(/*batch_size=*/4,
+                                                  /*num_threads=*/4);
+    req.objective = slow_eval;
     obs::MetricsSnapshot before = obs::MetricsRegistry::global().snapshot();
     auto t0 = Clock::now();
-    TuningHistory h = engine.run(*tuner, slow_eval);
+    execute(*tuner, req);
+    TuningHistory h = tuner->take_history();
     Run r;
     r.wall = std::chrono::duration<double>(Clock::now() - t0).count();
     obs::MetricsSnapshot delta =

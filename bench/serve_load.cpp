@@ -50,6 +50,7 @@
 #include <unistd.h>
 
 #include "harness_util.hpp"
+#include "api/study.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "serve/client.hpp"
@@ -420,10 +421,11 @@ run_trace_leg(const std::string& worker_bin, const std::string& trace_path,
         std::unique_ptr<AskTellTuner> tuner = suite::make_ask_tell(
             *space, suite::Method::kUniform, /*budget=*/24,
             /*doe_samples=*/8, seed);
-        BatchSpec spec;
-        spec.benchmark = kBench;
-        spec.run_seed = seed;
-        coordinator.drive(*tuner, spec, /*batch_size=*/4);
+        ExecRequest req;
+        req.policy =
+            ExecutionPolicy::Attached(&coordinator, /*batch_size=*/4);
+        req.benchmark = kBench;
+        execute(*tuner, req);
         // shutdown() drains the workers' goodbye frames — the final
         // span shipment — before the export below.
         coordinator.shutdown();

@@ -21,6 +21,7 @@
 #include <thread>
 
 #include "harness_util.hpp"
+#include "api/study.hpp"
 #include "suite/registry.hpp"
 #include "suite/report.hpp"
 #include "suite/runner.hpp"
@@ -139,10 +140,14 @@ main(int argc, char** argv)
             run_method(b, Method::kBaco, b.full_budget, args.seed);
         });
         double run_batch = wall([&] {
-            EvalEngineOptions eopt;
-            eopt.batch_size = 4;
-            run_method_batched(b, Method::kBaco, b.full_budget, args.seed,
-                               eopt);
+            StudyBuilder()
+                .benchmark(b)
+                .method(method_name(Method::kBaco))
+                .budget(b.full_budget)
+                .seed(args.seed)
+                .execution(ExecutionPolicy::Batched(4))
+                .build()
+                .run();
         });
         engine_table.add_row({name, "single run, batch=4", fmt(run_seq, 2),
                               fmt(run_batch, 2),

@@ -36,6 +36,14 @@
 #             ctest suite
 #   ubsan     UndefinedBehaviorSanitizer build (BACO_SANITIZE=undefined,
 #             -fno-sanitize-recover), full ctest suite
+#   perfbench smoke-run the repo benchmark (perfbench/, declared in
+#             BENCHMARK.json): python3 perfbench/run.py builds it from
+#             this checkout's sources and runs each workload (repro,
+#             serve_sessions, serve_fleet) for 1 s with --trace 1, failing
+#             on a nonzero exit — a src/ change that breaks perfbench's
+#             build or its correctness checks fails here instead of at the
+#             next benchmark run. --trace 1 because the untraced pass's
+#             p99 sample floor is sized for 20 s runs
 #   soak      the nightly tier (NOT part of `all` — CI runs it on a
 #             schedule, not per PR): TSAN build when available, the
 #             stress+integration ctest suites at their long timeouts,
@@ -43,7 +51,7 @@
 #             concurrent fleet runs included) whose serve_ok flag must
 #             hold after the long haul
 #
-# Usage: check.sh [--stage tier1|selftest|bench|tidy|tsan|asan|ubsan|soak|all]...
+# Usage: check.sh [--stage tier1|selftest|bench|tidy|tsan|asan|ubsan|perfbench|soak|all]...
 #        (repeatable; default: all — with a pass/fail summary table)
 #
 # Environment: BACO_BUILD_TYPE (default Release), BACO_BUILD_DIR
@@ -64,7 +72,7 @@ if command -v ccache >/dev/null 2>&1; then
 fi
 
 usage() {
-    echo "usage: $0 [--stage tier1|selftest|bench|tidy|tsan|asan|ubsan|soak|all]..." >&2
+    echo "usage: $0 [--stage tier1|selftest|bench|tidy|tsan|asan|ubsan|perfbench|soak|all]..." >&2
     exit 2
 }
 
@@ -209,6 +217,15 @@ stage_ubsan() {
     run_sanitizer_suite ubsan undefined
 }
 
+stage_perfbench() {
+    local workload
+    for workload in repro serve_sessions serve_fleet; do
+        echo "---- perfbench: $workload"
+        python3 perfbench/run.py --workload "$workload" --seed 1 \
+            --seconds 1 --trace 1
+    done
+}
+
 stage_soak() {
     # The nightly tier: long-running races only surface under sustained
     # load, so soak the serving stack under TSAN (plain RelWithDebInfo
@@ -244,7 +261,7 @@ stage_soak() {
 if [[ "${1:-}" == "--run-one" ]]; then
     [[ $# -eq 2 ]] || usage
     case "$2" in
-      tier1|selftest|bench|tidy|tsan|asan|ubsan|soak) "stage_$2" ;;
+      tier1|selftest|bench|tidy|tsan|asan|ubsan|perfbench|soak) "stage_$2" ;;
       *) usage ;;
     esac
     exit 0
@@ -269,8 +286,8 @@ EXPANDED=()
 for stage in "${STAGES[@]}"; do
     case "$stage" in
       # soak is deliberately not in `all`: it is the nightly tier.
-      all) EXPANDED+=(tier1 selftest bench tidy tsan asan ubsan) ;;
-      tier1|selftest|bench|tidy|tsan|asan|ubsan|soak) EXPANDED+=("$stage") ;;
+      all) EXPANDED+=(tier1 selftest bench tidy tsan asan ubsan perfbench) ;;
+      tier1|selftest|bench|tidy|tsan|asan|ubsan|perfbench|soak) EXPANDED+=("$stage") ;;
       *) usage ;;
     esac
 done

@@ -34,7 +34,7 @@
 #include "exec/ask_tell.hpp"
 #include "exec/checkpoint.hpp"
 #include "exec/eval_cache.hpp"
-#include "exec/eval_engine.hpp"
+#include "exec/drive.hpp"
 #include "suite/benchmark.hpp"
 #include "suite/registry.hpp"
 

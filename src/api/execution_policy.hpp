@@ -6,7 +6,12 @@
  * ExecutionPolicy: the one declarative value that selects how a study's
  * evaluations run — serially, batched over a thread pool, fully
  * asynchronously (tell-as-results-land), or sharded across a worker
- * fleet — without changing a single other line of tuning code.
+ * fleet — without changing a single other line of tuning code. Every
+ * policy runs through the same drive loop (exec/drive.hpp): Serial is a
+ * barrier round of one, Batched and Distributed(async=false) are
+ * barrier rounds of batch_size, and Async and Distributed(async=true)
+ * refill each slot as its result lands. Only the backend differs — a
+ * thread pool in process, one Coordinator run lease for a fleet.
  *
  * Determinism contract (inherited from the exec/serve layers): Serial,
  * Batched and Distributed(async=false) histories are bit-for-bit
@@ -30,8 +35,6 @@
 #include <string>
 #include <vector>
 
-#include "core/thread_annotations.hpp"
-
 namespace baco {
 
 namespace serve {
@@ -42,8 +45,8 @@ class Coordinator;
 struct ExecutionPolicy {
   enum class Mode {
     kSerial,       ///< one evaluation at a time (Tuner::run semantics)
-    kBatched,      ///< constant-liar batches on a thread pool (EvalEngine)
-    kAsync,        ///< tell-as-results-land, bounded in-flight (EvalEngine)
+    kBatched,      ///< constant-liar batches on a thread pool
+    kAsync,        ///< tell-as-results-land, bounded in-flight
     kDistributed,  ///< sharded across serve workers (Coordinator)
   };
 
@@ -77,17 +80,6 @@ struct ExecutionPolicy {
    */
   serve::Coordinator* fleet = nullptr;
 
-  /**
-   * Distributed(Attached): optional strict serialization of fleet use
-   * for the run's whole duration. The Coordinator multiplexes
-   * concurrent runs internally (fair scheduling + admission control),
-   * so sharing a fleet no longer requires a lock — pass one only when
-   * this study must observe the fleet with no other tenant's work in
-   * flight (e.g. wall-clock benchmarking against an otherwise idle
-   * fleet).
-   */
-  Mutex* fleet_lock = nullptr;
-
   /** Distributed: drive tell-as-results-land across the fleet. */
   bool async = false;
 
@@ -100,7 +92,7 @@ struct ExecutionPolicy {
   /**
    * Async / Distributed(async=true): suggest-ahead pipelining — while
    * evaluations are in flight, the next suggestion (surrogate refresh +
-   * acquisition search) is precomputed on a spare lane so freed slots
+   * acquisition search) is precomputed on a side thread so freed slots
    * refill immediately instead of idling on the tuner. The speculative
    * suggestion treats the in-flight set as constant-liar fantasies
    * exactly like a synchronous refill; it just runs one observation
@@ -162,19 +154,16 @@ struct ExecutionPolicy {
   }
 
   /** Sharded over an externally owned, pre-registered fleet. The
-   *  Coordinator schedules concurrent tenants fairly on its own;
-   *  fleet_lock (see the field) is only for runs that need the fleet
-   *  exclusively. */
+   *  Coordinator schedules concurrent tenants fairly on its own. */
   static ExecutionPolicy
   Attached(serve::Coordinator* fleet, int batch_size = 4,
-           bool async = false, Mutex* fleet_lock = nullptr)
+           bool async = false)
   {
       ExecutionPolicy p;
       p.mode = Mode::kDistributed;
       p.fleet = fleet;
       p.batch_size = batch_size;
       p.async = async;
-      p.fleet_lock = fleet_lock;
       return p;
   }
 };

@@ -1,14 +1,12 @@
 #include "api/study.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <stdexcept>
 #include <thread>
 #include <utility>
 
 #include "api/method_registry.hpp"
 #include "exec/eval_cache.hpp"
-#include "exec/eval_engine.hpp"
 #include "obs/trace.hpp"
 #include "serve/coordinator.hpp"
 #include "serve/transport.hpp"
@@ -18,144 +16,6 @@
 namespace baco {
 
 namespace {
-
-/**
- * Synthesizes per-evaluation events for the deterministic drivers
- * (serial/batched/distributed-sync), which report whole observed batches:
- * after each round, one event per new history entry, in history order.
- */
-class EventEmitter {
- public:
-    EventEmitter(AskTellTuner& tuner, const StudyEventFn& fn)
-        : tuner_(tuner),
-          fn_(fn),
-          seen_(tuner.history().size()),
-          best_(tuner.history().best_value)
-    {
-    }
-
-    void
-    flush()
-    {
-        if (!fn_)
-            return;
-        const TuningHistory& h = tuner_.history();
-        for (; seen_ < h.observations.size(); ++seen_) {
-            const Observation& o = h.observations[seen_];
-            if (o.feasible && o.value < best_)
-                best_ = o.value;
-            AsyncEvent ev;
-            ev.index = seen_;
-            ev.config = o.config;
-            ev.result = EvalResult{o.value, o.feasible};
-            ev.evals = seen_ + 1;
-            ev.best = best_;
-            fn_(ev);
-        }
-    }
-
- private:
-    AskTellTuner& tuner_;
-    const StudyEventFn& fn_;
-    std::size_t seen_;
-    double best_;
-};
-
-/** EvalEngine options for the in-process modes of a request. */
-EvalEngineOptions
-engine_options(const ExecRequest& req)
-{
-    EvalEngineOptions eopt;
-    // Serial never has more than one evaluation in flight; a single
-    // pool lane avoids spawning hardware_concurrency idle workers.
-    eopt.num_threads = req.policy.mode == ExecutionPolicy::Mode::kSerial
-                           ? 1
-                           : req.policy.num_threads;
-    eopt.batch_size = std::max(1, req.policy.batch_size);
-    eopt.async_mode = req.policy.mode == ExecutionPolicy::Mode::kAsync;
-    eopt.suggest_ahead = req.policy.suggest_ahead;
-    eopt.cache = req.cache;
-    eopt.cache_namespace = req.cache_namespace;
-    eopt.checkpoint_path = req.checkpoint_path;
-    return eopt;
-}
-
-/**
- * Re-dispatch the in-flight evaluations of a resumed async checkpoint
- * under their original indices before any new round — each is told
- * exactly once regardless of which ExecutionPolicy the resumed study
- * picked. eval_one(pending) produces the result — evaluating under
- * eval_rng_for(seed, index), without consulting the cache (the drain
- * already did; a second lookup would double-count misses).
- *
- * The drain runs one evaluation at a time: telling each result before
- * dispatching the next keeps the checkpoint's exactly-once bookkeeping
- * trivial, at the cost of serialized re-evaluation of a (bounded by
- * the killed run's in-flight cap) backlog. Fanning it across the
- * pool/fleet is safe in principle — the (seed, index) streams are
- * independent — and worth doing if resume latency ever matters.
- */
-template <typename EvalOne>
-void
-drain_resume_pending(AskTellTuner& tuner, const ExecRequest& req,
-                     EvalOne&& eval_one)
-{
-    const std::vector<PendingEval>& pending = req.resume_pending;
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-        const PendingEval& p = pending[i];
-        AsyncEvent ev;
-        ev.index = p.index;
-        ev.config = p.config;
-        if (req.cache) {
-            if (auto hit = req.cache->lookup(req.cache_namespace,
-                                             p.config)) {
-                ev.result = *hit;
-                ev.from_cache = true;
-            }
-        }
-        if (!ev.from_cache)
-            ev.result = eval_one(p, &ev.eval_seconds);
-        // Checkpoints written mid-drain keep the not-yet-drained tail
-        // as pending, so a second crash still re-dispatches exactly
-        // the work that remains.
-        std::vector<PendingEval> still_pending(pending.begin() + i + 1,
-                                               pending.end());
-        tell_async_result(tuner, std::move(ev), req.cache,
-                          req.cache_namespace, req.checkpoint_path,
-                          still_pending, req.on_event);
-    }
-}
-
-/**
- * Stepwise round driver shared by the deterministic modes: advancing one
- * round at a time produces the identical suggest()/observe() sequence as
- * a single full drive (each round asks min(batch, remaining cap)), and
- * gives the emitter a per-round hook.
- */
-template <typename DriveRound>
-void
-drive_rounds(AskTellTuner& tuner, const ExecRequest& req, int batch_size,
-             DriveRound&& drive_round)
-{
-    EventEmitter emitter(tuner, req.on_event);
-    // Drained resume-pending tells count toward the eval cap, exactly
-    // as the async drivers count them — same request, same number of
-    // tells under every policy.
-    int done = static_cast<int>(req.resume_pending.size());
-    while (tuner.remaining() > 0 &&
-           (req.max_evals < 0 || done < req.max_evals)) {
-        int step = batch_size;
-        if (req.max_evals >= 0)
-            step = std::min(step, req.max_evals - done);
-        std::size_t before = tuner.history().size();
-        drive_round(step);
-        std::size_t grew = tuner.history().size() - before;
-        if (grew == 0)
-            break;  // the tuner stopped suggesting
-        done += static_cast<int>(grew);
-        emitter.flush();
-    }
-}
 
 /**
  * Attach one ExecutionPolicy::Remote worker: "cmd:ARGV..." forks the
@@ -204,66 +64,30 @@ void
 execute(AskTellTuner& tuner, const ExecRequest& req)
 {
     const ExecutionPolicy& p = req.policy;
-    const int batch =
-        std::max(1, p.mode == ExecutionPolicy::Mode::kSerial
-                        ? 1
-                        : p.batch_size);
-
     if (p.mode == ExecutionPolicy::Mode::kDistributed) {
-        if (!req.coordinator)
+        if (!p.fleet)
             throw std::invalid_argument(
                 "distributed execution requires a coordinator with "
-                "attached workers");
-        serve::BatchSpec spec;
-        spec.benchmark = req.benchmark;
-        spec.run_seed = tuner.run_seed();
-        spec.cache = req.cache;
-        spec.cache_namespace = req.cache_namespace;
-        if (p.async) {
-            req.coordinator->drive_async(tuner, spec, batch, req.max_evals,
-                                         req.checkpoint_path, req.on_event,
-                                         req.resume_pending);
-        } else {
-            drain_resume_pending(
-                tuner, req,
-                [&](const PendingEval& pe, double* seconds) {
-                    serve::BatchSpec one = spec;
-                    one.first_index = pe.index;
-                    one.cache = nullptr;  // the drain already looked up
-                    return req.coordinator
-                        ->evaluate_batch(one, {pe.config}, seconds)
-                        .front();
-                });
-            drive_rounds(tuner, req, batch, [&](int step) {
-                req.coordinator->drive(tuner, spec, batch, step,
-                                       req.checkpoint_path);
-            });
-        }
+                "attached workers (ExecutionPolicy::fleet)");
+        // One run lease for the whole drive: admission control happens
+        // once, up front, and can never refuse the run between its own
+        // rounds or resumed evaluations.
+        serve::FleetBackend fleet(*p.fleet, req.benchmark,
+                                  tuner.run_seed(),
+                                  std::max(1, p.batch_size));
+        drive(tuner, fleet, req);
         return;
     }
-
     if (!req.objective)
         throw std::invalid_argument(
             "in-process execution requires an objective");
-    EvalEngine engine(engine_options(req));
-    if (p.mode == ExecutionPolicy::Mode::kAsync) {
-        engine.drive_async(tuner, req.objective, req.max_evals,
-                           req.on_event, req.resume_pending);
-        return;
-    }
-    drain_resume_pending(
-        tuner, req, [&](const PendingEval& pe, double* seconds) {
-            RngEngine rng = eval_rng_for(tuner.run_seed(), pe.index);
-            auto t0 = std::chrono::steady_clock::now();
-            EvalResult r = req.objective(pe.config, rng);
-            *seconds += std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
-            return r;
-        });
-    drive_rounds(tuner, req, batch, [&](int step) {
-        engine.drive(tuner, req.objective, step);
-    });
+    // Serial never has more than one evaluation in flight; a single
+    // lane evaluates inline instead of spawning idle workers.
+    PoolBackend pool(req.objective, tuner.run_seed(),
+                     p.mode == ExecutionPolicy::Mode::kSerial
+                         ? 1
+                         : p.num_threads);
+    drive(tuner, pool, req);
 }
 
 // ---------------------------------------------------------------------------
@@ -288,28 +112,17 @@ Study::run()
         if (policy_.fleet) {
             // Attached fleet: externally owned — drive it, don't shut
             // it down (other studies/clients may share it). The
-            // Coordinator multiplexes concurrent tenants itself; the
-            // optional fleet_lock is only for runs that need the fleet
-            // with nothing else in flight.
-            // std::unique_lock over the annotated Mutex: conditional
-            // acquisition is outside what the static analysis can
-            // express, so this site trades the compile-time proof for
-            // the movable handle (see thread_annotations.hpp policy).
-            std::unique_lock<Mutex> fleet_guard;
-            if (policy_.fleet_lock)
-                fleet_guard = std::unique_lock<Mutex>(*policy_.fleet_lock);
-            req.coordinator = policy_.fleet;
+            // Coordinator multiplexes concurrent tenants itself.
             execute(*tuner_, req);
             return finalize(tuner_->take_history());
         }
         serve::CoordinatorOptions copt;
         copt.max_inflight_per_worker = policy_.max_inflight_per_worker;
         copt.straggler_ms = policy_.straggler_ms;
-        copt.suggest_ahead = policy_.suggest_ahead;
         serve::Coordinator coordinator(copt);
         std::vector<std::thread> worker_threads;
         std::vector<int> worker_pids;
-        req.coordinator = &coordinator;
+        req.policy.fleet = &coordinator;
         auto wind_down = [&] {
             coordinator.shutdown();
             for (std::thread& t : worker_threads)
@@ -372,12 +185,12 @@ Study::tell(const std::vector<Configuration>& configs,
         for (std::size_t i = 0; i < configs.size(); ++i)
             cache_->insert(cache_namespace_, configs[i], results[i]);
     }
-    // The emitter snapshots the incumbent before the observe, so the
-    // per-result events carry the same as-if-serial evals/best
-    // counters the run() drivers emit.
-    EventEmitter emitter(*tuner_, on_event_);
+    // The incumbent before the observe seeds the per-result events, so
+    // they carry the same as-if-serial evals/best counters run() emits.
+    const std::size_t first = tuner_->history().size();
+    const double best = tuner_->history().best_value;
     tuner_->observe(configs, results);
-    emitter.flush();
+    emit_round_events(tuner_->history(), first, best, on_event_);
     if (!checkpoint_path_.empty())
         save_checkpoint(checkpoint_path_, *tuner_, resume_pending_);
 }

@@ -5,8 +5,8 @@
  * @file
  * The baco::Study front-door API: one declarative entry point — a search
  * space, an objective, a method name and an ExecutionPolicy — over every
- * execution back-end the framework has (serial loop, batched EvalEngine,
- * fully asynchronous engine, distributed Coordinator fleet).
+ * way the framework can run evaluations (serially, batched or fully
+ * asynchronously on a thread pool, or sharded over a Coordinator fleet).
  *
  *   Study study = StudyBuilder()
  *                     .benchmark("SpMM/scircuit")   // or an inline space
@@ -24,9 +24,9 @@
  * ask-tell exchange and result() finalizes without driving.
  *
  * The lower-level execute() dispatcher — an ExecutionPolicy applied to an
- * *existing* ask-tell tuner — is what Study::run(), the suite's
- * run_method_* wrappers and the serve layer's server-side async runs all
- * share, so local and remote execution cannot drift.
+ * *existing* ask-tell tuner — is what Study::run() and the serve layer's
+ * server-side async runs share, so local and remote execution cannot
+ * drift.
  */
 
 #include <cstdint>
@@ -38,6 +38,7 @@
 #include "api/execution_policy.hpp"
 #include "exec/ask_tell.hpp"
 #include "exec/checkpoint.hpp"
+#include "exec/drive.hpp"
 #include "obs/metrics.hpp"
 #include "suite/benchmark.hpp"
 
@@ -53,47 +54,17 @@ class Coordinator;
 /**
  * Per-evaluation observer. Fires after every tell, in history order for
  * deterministic modes and completion order for asynchronous ones.
- * eval_seconds and from_cache are populated only by the asynchronous
- * drivers (batched rounds time whole batches, not single evaluations).
+ * eval_seconds and from_cache are populated only for results told one
+ * at a time (batched rounds time whole batches, not single evaluations).
  */
 using StudyEventFn = AsyncResultFn;
 
 /**
- * One execution request against an existing ask-tell tuner: the shared
- * dispatcher behind Study::run(), the suite wrappers and the serve
- * layer's server-side async runs.
- */
-struct ExecRequest {
-  ExecutionPolicy policy;
-  /** In-process objective (serial/batched/async modes). */
-  BlackBoxFn objective;
-  /**
-   * Sharded evaluation over an attached worker fleet (distributed mode;
-   * not owned — the caller manages the fleet's lifetime).
-   */
-  serve::Coordinator* coordinator = nullptr;
-  /** Registry benchmark name workers resolve (distributed mode). */
-  std::string benchmark;
-  EvalCache* cache = nullptr;
-  std::string cache_namespace;
-  std::string checkpoint_path;
-  /** Stop after this many evaluations; -1 = budget exhaustion. */
-  int max_evals = -1;
-  StudyEventFn on_event;
-  /**
-   * In-flight evaluations of a resumed async checkpoint. Every policy
-   * re-dispatches them under their original indices before any new
-   * round — each is told exactly once even when the resumed run picked
-   * a different ExecutionPolicy than the one that was killed.
-   */
-  std::vector<PendingEval> resume_pending;
-};
-
-/**
- * Drive `tuner` under the request's ExecutionPolicy. Serial and batched
- * modes reproduce EvalEngine (and, at batch 1, the serial loop)
- * bit-for-bit; async maps to EvalEngine::drive_async; distributed maps
- * to the Coordinator (which must be supplied with live workers).
+ * Drive `tuner` under the request's ExecutionPolicy: picks the backend
+ * (a thread pool over req.objective for the in-process modes, one
+ * Coordinator run lease for distributed ones) and runs the shared drive
+ * loop (exec/drive.hpp) on it. Barrier policies reproduce the serial
+ * loop bit-for-bit at batch size 1; Async with one slot does too.
  * @throws std::invalid_argument on an unusable request (distributed
  * without a coordinator, in-process without an objective).
  */

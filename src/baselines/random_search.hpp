@@ -12,7 +12,7 @@
  *   Chain-of-Trees, used to study the bias discussed in Sec. 4.2.
  *
  * Both are exposed through the ask-tell interface (RandomSearchTuner), so
- * the batched EvalEngine can drive them; the run_* free functions keep the
+ * every ExecutionPolicy can drive them; the run_* free functions keep the
  * original one-call API.
  */
 

@@ -8,8 +8,9 @@
  *
  * A tuner no longer owns the evaluation loop. Instead it answers
  * suggest(n) with up to n configurations to try next and is told the
- * results through observe(). Any driver — the serial loop, the batched
- * EvalEngine, or an external system — can run the exchange, which is what
+ * results through observe(). Any driver — the serial loop, the shared
+ * drive loop (exec/drive.hpp), or an external system — can run the
+ * exchange, which is what
  * makes batching, caching and checkpoint/resume orthogonal to the search
  * method itself.
  *
@@ -146,14 +147,14 @@ class AskTellBase : public AskTellTuner {
 
 /**
  * The plain sequential driver: suggest(1) / evaluate / observe until the
- * budget is exhausted. EvalEngine at batch size 1 reproduces this loop
- * bit-for-bit.
+ * budget is exhausted. Every barrier policy of the shared drive loop
+ * reproduces this loop bit-for-bit at batch size 1.
  */
 TuningHistory drive_serial(AskTellTuner& tuner, const BlackBoxFn& objective);
 
 /**
- * One result landing in an asynchronous drive (EvalEngine::drive_async,
- * Coordinator::drive_async), reported right after the tuner was told.
+ * One result told by the drive loop (exec/drive.hpp), reported right
+ * after the tuner was told.
  */
 struct AsyncEvent {
   std::uint64_t index = 0;  ///< evaluation index (noise-stream key)

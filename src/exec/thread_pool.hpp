@@ -13,7 +13,7 @@
  * no scheduling nondeterminism to single-threaded runs.
  *
  * Besides the barrier-style run(), the pool supports fire-and-forget
- * submit() for asynchronous pipelines (the EvalEngine's async mode):
+ * submit() for asynchronous pipelines (the drive loop's PoolBackend):
  * submitted tasks run on the worker threads while the caller keeps going,
  * and wait_idle() blocks until everything outstanding has drained.
  *

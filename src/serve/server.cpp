@@ -2,16 +2,15 @@
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
 #include <stdexcept>
 
 #include "api/study.hpp"
-#include "exec/eval_cache.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "serve/coordinator.hpp"
 #include "serve/stats_util.hpp"
 #include "serve/transport.hpp"
-#include "serve/worker.hpp"
 #include "suite/registry.hpp"
 
 namespace baco::serve {
@@ -132,11 +131,11 @@ handle_server_stats(const Message& req, const ServerContext& ctx)
 
 /**
  * Async server-side drive of one session: tell-as-results-land over the
- * coordinator's fleet (or the in-process EvalEngine without workers),
+ * coordinator's fleet (or an in-process thread pool without workers),
  * streaming one result frame per landed evaluation to the client. The
- * Coordinator multiplexes concurrent runs itself — drive_async opens
- * its own run lease (subject to admission control), so nothing here
- * serializes connections against each other.
+ * Coordinator multiplexes concurrent runs itself — execute() opens one
+ * run lease for the drive (subject to admission control), so nothing
+ * here serializes connections against each other.
  */
 Message
 handle_run_async(const Message& req, const ServerContext& ctx,
@@ -169,8 +168,7 @@ handle_run_async(const Message& req, const ServerContext& ctx,
         if (!stream.send(encode(frame))) {
             // The client is gone: abort the drive instead of burning
             // the session's remaining budget into a dead pipe. (The
-            // engine drains its in-flight work before rethrowing; the
-            // coordinator absorbs late worker replies as benign.)
+            // drive loop drains its in-flight work before rethrowing.)
             throw std::runtime_error(
                 "client disconnected during async run");
         }
@@ -186,13 +184,11 @@ handle_run_async(const Message& req, const ServerContext& ctx,
             done.best = info.best;
             // Server-side runs dispatch through the same execute() the
             // local Study front door uses: the coordinator's fleet when
-            // workers are attached, the in-process async engine
-            // otherwise.
+            // workers are attached, an in-process thread pool otherwise.
             ExecRequest run;
             if (sharded) {
-                run.policy = ExecutionPolicy::Distributed(
-                    /*workers=*/0, slots, /*async=*/true);
-                run.coordinator = ctx.coordinator;
+                run.policy = ExecutionPolicy::Attached(ctx.coordinator, slots,
+                                                       /*async=*/true);
             } else {
                 run.policy = ExecutionPolicy::Async(slots,
                                                     /*num_threads=*/slots);
@@ -219,6 +215,9 @@ handle_run_async(const Message& req, const ServerContext& ctx,
  * Server-side drive of one session: suggest, evaluate (sharded over the
  * coordinator when workers are attached, in-process otherwise), observe;
  * repeat until the budget — or the request's eval cap — is exhausted.
+ * Suggest and observe go through SessionManager::handle like any
+ * client's frames (so they are timed and checkpointed the same way);
+ * each round is one evaluate_round() on the run's backend.
  */
 Message
 handle_run(const Message& req, const ServerContext& ctx)
@@ -233,13 +232,16 @@ handle_run(const Message& req, const ServerContext& ctx)
     // One run lease for the whole request: every round of this run is
     // scheduled fairly against other tenants' rounds, and admission
     // control (CoordinatorBusy → "busy" error frame) happens here, up
-    // front, not halfway through the run.
-    Coordinator::RunLease lease;
+    // front, not halfway through the run. Without workers, the
+    // benchmark evaluates inline on this connection's thread.
+    std::unique_ptr<EvalBackend> backend;
     if (sharded)
-        lease = ctx.coordinator->begin_run(/*max_inflight=*/batch);
-    const Benchmark* local_bench = nullptr;
-    if (!sharded)
-        local_bench = &suite::find_benchmark(info->benchmark);
+        backend = std::make_unique<FleetBackend>(
+            *ctx.coordinator, info->benchmark, info->seed, batch);
+    else
+        backend = std::make_unique<PoolBackend>(
+            suite::find_benchmark(info->benchmark).evaluate, info->seed,
+            /*lanes=*/1);
 
     int done = 0;
     Message last_ok;
@@ -277,32 +279,9 @@ handle_run(const Message& req, const ServerContext& ctx)
         tell.id = req.id;
         tell.session = req.session;
         double eval_seconds = 0.0;
-        std::vector<EvalResult> results;
-        EvalCache* cache = ctx.sessions->cache();
-        if (sharded) {
-            BatchSpec spec;
-            spec.benchmark = info->benchmark;
-            spec.run_seed = info->seed;
-            spec.first_index = configs.index;
-            spec.cache = cache;
-            spec.cache_namespace = info->cache_namespace;
-            results = ctx.coordinator->evaluate_batch(
-                lease, spec, configs.configs, &eval_seconds);
-        } else {
-            results.reserve(configs.configs.size());
-            for (std::size_t i = 0; i < configs.configs.size(); ++i) {
-                const Configuration& c = configs.configs[i];
-                if (cache) {
-                    if (auto hit = cache->lookup(info->cache_namespace, c)) {
-                        results.push_back(*hit);
-                        continue;
-                    }
-                }
-                results.push_back(evaluate_on(*local_bench, c, info->seed,
-                                              configs.index + i,
-                                              &eval_seconds));
-            }
-        }
+        std::vector<EvalResult> results = evaluate_round(
+            *backend, ctx.sessions->cache(), info->cache_namespace,
+            configs.index, configs.configs, &eval_seconds);
         tell.eval_seconds = eval_seconds;
         tell.results.reserve(results.size());
         for (std::size_t i = 0; i < results.size(); ++i) {

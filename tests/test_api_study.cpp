@@ -1,6 +1,7 @@
 // The baco::Study front-door API: seed-for-seed parity between
-// Study::run() and every legacy driver (serial Tuner::run, batched
-// EvalEngine, single-slot async, distributed Coordinator), the
+// Study::run() and every driver under it (serial Tuner::run, batched
+// execute() on an externally built tuner, single-slot async,
+// distributed Coordinator), the
 // MethodRegistry round-trip, the inline parameter DSL, the ask/tell
 // embedding surface, and the uniform cache/checkpoint/on_event options.
 
@@ -70,10 +71,11 @@ TEST(StudyParity, BatchedMatchesEvalEngineBitForBit)
     const Benchmark& b = suite::find_benchmark(kBench);
     std::shared_ptr<SearchSpace> space = b.make_space(SpaceVariant{});
     auto tuner = legacy_tuner(*space, b.doe_samples);
-    EvalEngineOptions eopt;
-    eopt.batch_size = 4;
-    EvalEngine engine(eopt);
-    TuningHistory reference = engine.run(*tuner, b.evaluate);
+    ExecRequest req;
+    req.policy = ExecutionPolicy::Batched(4);
+    req.objective = b.evaluate;
+    execute(*tuner, req);
+    TuningHistory reference = tuner->take_history();
 
     StudyResult r =
         parity_study(ExecutionPolicy::Batched(4)).build().run();
@@ -105,14 +107,15 @@ TEST(StudyParity, AsyncMultiSlotExhaustsBudget)
 TEST(StudyParity, DistributedMatchesCoordinatorSelftestParity)
 {
     // The serve layer's parity contract: a 2-worker sharded fleet
-    // reproduces the same-seed batched EvalEngine run bit-for-bit.
+    // reproduces the same-seed batched in-process run bit-for-bit.
     const Benchmark& b = suite::find_benchmark(kBench);
     std::shared_ptr<SearchSpace> space = b.make_space(SpaceVariant{});
     auto tuner = legacy_tuner(*space, b.doe_samples);
-    EvalEngineOptions eopt;
-    eopt.batch_size = 4;
-    EvalEngine engine(eopt);
-    TuningHistory reference = engine.run(*tuner, b.evaluate);
+    ExecRequest req;
+    req.policy = ExecutionPolicy::Batched(4);
+    req.objective = b.evaluate;
+    execute(*tuner, req);
+    TuningHistory reference = tuner->take_history();
 
     StudyResult r =
         parity_study(ExecutionPolicy::Distributed(/*workers=*/2,
@@ -125,15 +128,22 @@ TEST(StudyParity, DistributedMatchesCoordinatorSelftestParity)
 
 TEST(StudyParity, DeprecatedSuiteWrappersStillMatchLegacySemantics)
 {
-    // run_method_batched is now a one-line Study wrapper; it must still
-    // equal the serial driver at batch 1.
+    // A Batched(1) Study, the replacement of the removed suite
+    // wrappers, must still equal the serial driver.
     const Benchmark& b = suite::find_benchmark(kBench);
     TuningHistory serial =
         suite::run_method(b, suite::Method::kBaco, kBudget, kSeed);
-    EvalEngineOptions eopt;
-    eopt.batch_size = 1;
-    TuningHistory batched = suite::run_method_batched(
-        b, suite::Method::kBaco, kBudget, kSeed, eopt);
+    TuningHistory batched =
+        StudyBuilder()
+            .benchmark(b)
+            .method(suite::method_name(suite::Method::kBaco))
+            .budget(kBudget)
+            .doe(b.doe_samples)
+            .seed(kSeed)
+            .execution(ExecutionPolicy::Batched(1))
+            .build()
+            .run()
+            .history;
     EXPECT_TRUE(histories_equal(serial, batched));
 }
 
@@ -549,6 +559,14 @@ TEST(Study, AsyncCheckpointPendingResumesUnderEveryPolicy)
     TuningHistory via_serial = resume_with(ExecutionPolicy::Serial());
     make_pending_checkpoint();
     TuningHistory via_batched = resume_with(ExecutionPolicy::Batched(3));
+    // The fleet resumes through a Coordinator run lease: barrier rounds
+    // of one and a single async slot both reduce to the serial resume.
+    make_pending_checkpoint();
+    TuningHistory via_fleet =
+        resume_with(ExecutionPolicy::Distributed(2, 1));
+    make_pending_checkpoint();
+    TuningHistory via_fleet_async =
+        resume_with(ExecutionPolicy::Distributed(2, 1, /*async=*/true));
 
     // The ask/tell embedding path handles the same checkpoint through
     // resume_pending()/tell_pending(): ask() refuses until the
@@ -586,7 +604,10 @@ TEST(Study, AsyncCheckpointPendingResumesUnderEveryPolicy)
     EXPECT_EQ(via_async.size(), static_cast<std::size_t>(kBudget));
     EXPECT_TRUE(histories_equal(via_async, via_serial));
     EXPECT_TRUE(histories_equal(via_async, via_asktell));
-    for (const TuningHistory* h : {&via_async, &via_serial, &via_batched}) {
+    EXPECT_TRUE(histories_equal(via_async, via_fleet));
+    EXPECT_TRUE(histories_equal(via_async, via_fleet_async));
+    for (const TuningHistory* h : {&via_async, &via_serial, &via_batched,
+                                   &via_fleet, &via_fleet_async}) {
         ASSERT_EQ(h->size(), static_cast<std::size_t>(kBudget));
         EXPECT_TRUE(configs_equal(h->observations[4].config, in_flight));
         EXPECT_DOUBLE_EQ(h->observations[4].value, expected.value);

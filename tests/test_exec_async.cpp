@@ -20,7 +20,7 @@
 #include "core/tuner.hpp"
 #include "exec/checkpoint.hpp"
 #include "exec/eval_cache.hpp"
-#include "exec/eval_engine.hpp"
+#include "api/study.hpp"
 #include "obs/metrics.hpp"
 #include "suite/registry.hpp"
 #include "suite/runner.hpp"
@@ -74,11 +74,12 @@ TEST(AsyncEngine, SingleSlotMatchesSerialBitForBit)
     TuningHistory serial = Tuner(s, opt).run(synthetic_eval);
 
     Tuner tuner(s, opt);
-    EvalEngineOptions eopt;
-    eopt.num_threads = 3;
-    eopt.batch_size = 1;  // one slot: async degenerates to the serial loop
-    eopt.async_mode = true;
-    TuningHistory async = EvalEngine(eopt).run(tuner, synthetic_eval);
+    ExecRequest req;
+    // One slot: async degenerates to the serial loop.
+    req.policy = ExecutionPolicy::Async(/*slots=*/1, /*num_threads=*/3);
+    req.objective = synthetic_eval;
+    execute(tuner, req);
+    TuningHistory async = tuner.take_history();
 
     ASSERT_EQ(serial.size(), async.size());
     EXPECT_TRUE(histories_equal(serial, async));
@@ -100,11 +101,11 @@ TEST(AsyncEngine, MultiSlotHistoryIsPermutationOfSerialForSampling)
     TuningHistory serial = drive_serial(serial_tuner, synthetic_eval);
 
     RandomSearchTuner async_tuner(s, opt, /*biased_walk=*/false);
-    EvalEngineOptions eopt;
-    eopt.num_threads = 4;
-    eopt.batch_size = 4;
-    eopt.async_mode = true;
-    TuningHistory async = EvalEngine(eopt).run(async_tuner, synthetic_eval);
+    ExecRequest req;
+    req.policy = ExecutionPolicy::Async(/*slots=*/4, /*num_threads=*/4);
+    req.objective = synthetic_eval;
+    execute(async_tuner, req);
+    TuningHistory async = async_tuner.take_history();
 
     ASSERT_EQ(serial.size(), async.size());
     EXPECT_EQ(config_multiset(serial), config_multiset(async));
@@ -184,11 +185,11 @@ TEST(AsyncEngine, EverySuggestedConfigIsEventuallyToldUnderRandomJitter)
         return r;
     };
 
-    EvalEngineOptions eopt;
-    eopt.num_threads = 4;
-    eopt.batch_size = 4;
-    eopt.async_mode = true;
-    TuningHistory h = EvalEngine(eopt).run(tuner, jittered);
+    ExecRequest req;
+    req.policy = ExecutionPolicy::Async(/*slots=*/4, /*num_threads=*/4);
+    req.objective = jittered;
+    execute(tuner, req);
+    TuningHistory h = tuner.take_history();
 
     EXPECT_EQ(h.size(), 40u);
     EXPECT_EQ(tuner.suggested(), tuner.observed());
@@ -225,17 +226,16 @@ TEST(AsyncEngine, SlowestFirstScheduleDoesNotStarveSlots)
     };
 
     std::atomic<int> told_while_slow_running{0};
-    EvalEngineOptions eopt;
-    eopt.num_threads = 4;
-    eopt.batch_size = 4;
-    eopt.async_mode = true;
-    EvalEngine engine(eopt);
+    ExecRequest req;
+    req.policy = ExecutionPolicy::Async(/*slots=*/4, /*num_threads=*/4);
+    req.objective = adversarial;
+    req.on_event = [&](const AsyncEvent&) {
+        if (!slow_done.load())
+            told_while_slow_running.fetch_add(1);
+    };
     auto t0 = Clock::now();
-    TuningHistory h = engine.run_async(
-        tuner, adversarial, [&](const AsyncEvent&) {
-            if (!slow_done.load())
-                told_while_slow_running.fetch_add(1);
-        });
+    execute(tuner, req);
+    TuningHistory h = tuner.take_history();
     double wall = std::chrono::duration<double>(Clock::now() - t0).count();
 
     EXPECT_EQ(h.size(), 24u);
@@ -274,20 +274,19 @@ TEST(AsyncEngine, KillResumeWithInFlightEvaluationsDoesNotDoubleTell)
     // in flight — exactly what a kill at that instant would leave behind.
     {
         Tuner tuner(s, opt);
-        EvalEngineOptions eopt;
-        eopt.num_threads = 4;
-        eopt.batch_size = 4;
-        eopt.async_mode = true;
-        eopt.checkpoint_path = ckpt;
-        EvalEngine engine(eopt);
+        ExecRequest req;
+        req.policy = ExecutionPolicy::Async(/*slots=*/4, /*num_threads=*/4);
+        req.objective = jittered;
+        req.checkpoint_path = ckpt;
         int told = 0;
-        engine.run_async(tuner, jittered, [&](const AsyncEvent&) {
+        req.on_event = [&](const AsyncEvent&) {
             if (++told == 8) {
                 std::ifstream in(ckpt, std::ios::binary);
                 std::ofstream out(snapshot, std::ios::binary);
                 out << in.rdbuf();
             }
-        });
+        };
+        execute(tuner, req);
     }
 
     std::optional<CheckpointData> snap = load_checkpoint(snapshot);
@@ -304,12 +303,12 @@ TEST(AsyncEngine, KillResumeWithInFlightEvaluationsDoesNotDoubleTell)
     for (const PendingEval& p : pending)
         pending_hashes.push_back(config_hash(p.config));
 
-    EvalEngineOptions eopt;
-    eopt.num_threads = 4;
-    eopt.batch_size = 4;
-    eopt.async_mode = true;
-    TuningHistory h =
-        EvalEngine(eopt).run_async(resumed, jittered, {}, std::move(pending));
+    ExecRequest req;
+    req.policy = ExecutionPolicy::Async(/*slots=*/4, /*num_threads=*/4);
+    req.objective = jittered;
+    req.resume_pending = std::move(pending);
+    execute(resumed, req);
+    TuningHistory h = resumed.take_history();
 
     // No double-telling: exactly the budget was observed, every config
     // exactly once (the tuner dedups), and each formerly in-flight
@@ -337,19 +336,22 @@ TEST(AsyncEngine, SingleSlotKillResumeReproducesUninterruptedRun)
 
     std::string ckpt = testing::TempDir() + "baco_async_ckpt1.jsonl";
     std::remove(ckpt.c_str());
-    EvalEngineOptions eopt;
-    eopt.batch_size = 1;
-    eopt.async_mode = true;
-    eopt.checkpoint_path = ckpt;
+    ExecRequest req;
+    req.policy = ExecutionPolicy::Async(/*slots=*/1);
+    req.objective = synthetic_eval;
+    req.checkpoint_path = ckpt;
     {
         Tuner tuner(s, opt);
-        EvalEngine(eopt).drive_async(tuner, synthetic_eval, /*max_evals=*/7);
+        req.max_evals = 7;
+        execute(tuner, req);
     }
     Tuner resumed(s, opt);
     std::vector<PendingEval> pending;
     ASSERT_TRUE(resume_from_checkpoint(ckpt, resumed, &pending));
     EXPECT_TRUE(pending.empty());  // single slot: nothing was in flight
-    TuningHistory h = EvalEngine(eopt).run_async(resumed, synthetic_eval);
+    req.max_evals = -1;
+    execute(resumed, req);
+    TuningHistory h = resumed.take_history();
 
     EXPECT_TRUE(histories_equal(uninterrupted, h));
     std::remove(ckpt.c_str());
@@ -363,19 +365,20 @@ TEST(AsyncEngine, CacheShortCircuitsRepeatAsyncRuns)
     opt.budget = 16;
     opt.seed = 7;
 
-    EvalEngineOptions eopt;
-    eopt.num_threads = 4;
-    eopt.batch_size = 4;
-    eopt.async_mode = true;
-    eopt.cache = &cache;
-    eopt.cache_namespace = "async-test";
+    ExecRequest req;
+    req.policy = ExecutionPolicy::Async(/*slots=*/4, /*num_threads=*/4);
+    req.objective = synthetic_eval;
+    req.cache = &cache;
+    req.cache_namespace = "async-test";
 
     RandomSearchTuner first(s, opt, false);
-    TuningHistory h1 = EvalEngine(eopt).run(first, synthetic_eval);
+    execute(first, req);
+    TuningHistory h1 = first.take_history();
     std::uint64_t hits_before = cache.hits();
 
     RandomSearchTuner second(s, opt, false);
-    TuningHistory h2 = EvalEngine(eopt).run(second, synthetic_eval);
+    execute(second, req);
+    TuningHistory h2 = second.take_history();
 
     EXPECT_EQ(h2.size(), 16u);
     EXPECT_EQ(cache.hits(), hits_before + 16);
@@ -398,12 +401,10 @@ TEST(AsyncEngine, ObjectiveExceptionIsRethrownAfterDraining)
         return synthetic_eval(c, rng);
     };
 
-    EvalEngineOptions eopt;
-    eopt.num_threads = 4;
-    eopt.batch_size = 4;
-    eopt.async_mode = true;
-    EvalEngine engine(eopt);
-    EXPECT_THROW(engine.drive_async(tuner, flaky), std::runtime_error);
+    ExecRequest req;
+    req.policy = ExecutionPolicy::Async(/*slots=*/4, /*num_threads=*/4);
+    req.objective = flaky;
+    EXPECT_THROW(execute(tuner, req), std::runtime_error);
     // Everything dispatched before the abort drained cleanly.
     EXPECT_LT(tuner.history().size(), 24u);
 }
@@ -412,7 +413,7 @@ TEST(AsyncEngine, CallbackExceptionIsRethrownAfterDraining)
 {
     // An exception from the caller's on_result callback (or the tuner)
     // must drain the in-flight work before unwinding — the pool workers
-    // reference drive_async's stack until the last result lands.
+    // reference the drive's state until the last result lands.
     SearchSpace s = synthetic_space();
     RandomSearchOptions opt;
     opt.budget = 24;
@@ -425,19 +426,15 @@ TEST(AsyncEngine, CallbackExceptionIsRethrownAfterDraining)
         return r;
     };
 
-    EvalEngineOptions eopt;
-    eopt.num_threads = 4;
-    eopt.batch_size = 4;
-    eopt.async_mode = true;
-    EvalEngine engine(eopt);
+    ExecRequest req;
+    req.policy = ExecutionPolicy::Async(/*slots=*/4, /*num_threads=*/4);
+    req.objective = slowish;
     int told = 0;
-    EXPECT_THROW(engine.drive_async(tuner, slowish, -1,
-                                    [&](const AsyncEvent&) {
-                                        if (++told == 3)
-                                            throw std::runtime_error(
-                                                "client went away");
-                                    }),
-                 std::runtime_error);
+    req.on_event = [&](const AsyncEvent&) {
+        if (++told == 3)
+            throw std::runtime_error("client went away");
+    };
+    EXPECT_THROW(execute(tuner, req), std::runtime_error);
     // The abort happened at the 3rd tell; nothing was told afterwards.
     EXPECT_EQ(told, 3);
     EXPECT_EQ(tuner.history().size(), 3u);
@@ -551,12 +548,12 @@ TEST(SuggestAhead, SingleSlotIsBitForBitIdenticalToSerial)
     TuningHistory serial = Tuner(s, opt).run(synthetic_eval);
 
     Tuner tuner(s, opt);
-    EvalEngineOptions eopt;
-    eopt.num_threads = 3;
-    eopt.batch_size = 1;
-    eopt.async_mode = true;
-    eopt.suggest_ahead = true;
-    TuningHistory ahead = EvalEngine(eopt).run(tuner, synthetic_eval);
+    ExecRequest req;
+    req.policy = ExecutionPolicy::Async(/*slots=*/1, /*num_threads=*/3,
+                                        /*suggest_ahead=*/true);
+    req.objective = synthetic_eval;
+    execute(tuner, req);
+    TuningHistory ahead = tuner.take_history();
 
     ASSERT_EQ(serial.size(), ahead.size());
     EXPECT_TRUE(histories_equal(serial, ahead));
@@ -590,12 +587,12 @@ TEST(SuggestAhead, StressExactlyOnceUnderHeavyTailedDelays)
     };
 
     obs::MetricsSnapshot before = obs::MetricsRegistry::global().snapshot();
-    EvalEngineOptions eopt;
-    eopt.num_threads = 4;
-    eopt.batch_size = 4;
-    eopt.async_mode = true;
-    eopt.suggest_ahead = true;
-    TuningHistory h = EvalEngine(eopt).run(tuner, heavy_tailed);
+    ExecRequest req;
+    req.policy = ExecutionPolicy::Async(/*slots=*/4, /*num_threads=*/4,
+                                        /*suggest_ahead=*/true);
+    req.objective = heavy_tailed;
+    execute(tuner, req);
+    TuningHistory h = tuner.take_history();
     obs::MetricsSnapshot delta =
         obs::MetricsRegistry::global().snapshot().delta_since(before);
 
@@ -631,15 +628,15 @@ TEST(SuggestAhead, MaxEvalsSplitLosesNoSuggestions)
         return r;
     };
 
-    EvalEngineOptions eopt;
-    eopt.num_threads = 4;
-    eopt.batch_size = 4;
-    eopt.async_mode = true;
-    eopt.suggest_ahead = true;
-    EvalEngine engine(eopt);
-    engine.drive_async(tuner, jittered, /*max_evals=*/9);
+    ExecRequest req;
+    req.policy = ExecutionPolicy::Async(/*slots=*/4, /*num_threads=*/4,
+                                        /*suggest_ahead=*/true);
+    req.objective = jittered;
+    req.max_evals = 9;
+    execute(tuner, req);
     EXPECT_EQ(tuner.history().size(), 9u);
-    engine.drive_async(tuner, jittered);
+    req.max_evals = -1;
+    execute(tuner, req);
 
     TuningHistory h = tuner.take_history();
     ASSERT_EQ(h.size(), 22u);
@@ -657,10 +654,17 @@ TEST(AsyncEngine, SuiteRunnerAsyncCompletesBudgetAcrossMethods)
                                      suite::Method::kAtfOpenTuner,
                                      suite::Method::kYtopt};
     for (suite::Method m : methods) {
-        EvalEngineOptions eopt;
-        eopt.num_threads = 4;
-        eopt.batch_size = 4;
-        TuningHistory h = suite::run_method_async(b, m, 14, 19, eopt);
+        TuningHistory h =
+            StudyBuilder()
+                .benchmark(b)
+                .method(suite::method_name(m))
+                .budget(14)
+                .seed(19)
+                .execution(ExecutionPolicy::Async(/*slots=*/4,
+                                                  /*num_threads=*/4))
+                .build()
+                .run()
+                .history;
         EXPECT_EQ(h.size(), 14u) << suite::method_name(m);
         EXPECT_TRUE(h.best_config.has_value()) << suite::method_name(m);
     }
@@ -671,11 +675,16 @@ TEST(AsyncEngine, RunMethodAsyncAtSlot1MatchesRunMethod)
     const Benchmark& b = suite::find_benchmark("SDDMM/email-Enron");
     TuningHistory serial =
         suite::run_method(b, suite::Method::kBaco, 12, 31);
-    EvalEngineOptions eopt;
-    eopt.num_threads = 2;
-    eopt.batch_size = 1;
-    TuningHistory async = suite::run_method_async(
-        b, suite::Method::kBaco, 12, 31, eopt);
+    TuningHistory async =
+        StudyBuilder()
+            .benchmark(b)
+            .method(suite::method_name(suite::Method::kBaco))
+            .budget(12)
+            .seed(31)
+            .execution(ExecutionPolicy::Async(/*slots=*/1, /*num_threads=*/2))
+            .build()
+            .run()
+            .history;
     EXPECT_TRUE(histories_equal(serial, async));
 }
 

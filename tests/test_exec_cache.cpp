@@ -10,7 +10,7 @@
 
 #include "core/tuner.hpp"
 #include "exec/eval_cache.hpp"
-#include "exec/eval_engine.hpp"
+#include "api/study.hpp"
 
 namespace baco {
 namespace {
@@ -215,12 +215,12 @@ TEST(EvalCache, EngineAppliesLruBoundFromOptions)
     Tuner tuner(s, topt);
 
     EvalCache cache;
-    EvalEngineOptions eopt;
-    eopt.batch_size = 2;
-    eopt.cache = &cache;
-    eopt.cache_max_entries = 3;
-    EvalEngine engine(eopt);
-    engine.run(tuner, det_eval);
+    cache.set_max_entries(3);
+    ExecRequest req;
+    req.policy = ExecutionPolicy::Batched(2);
+    req.objective = det_eval;
+    req.cache = &cache;
+    execute(tuner, req);
     EXPECT_EQ(cache.max_entries(), 3u);
     EXPECT_LE(cache.size(), 3u);
     EXPECT_GT(cache.evictions(), 0u);
@@ -314,24 +314,25 @@ TEST(EvalCache, EngineRespectsNamespaceOption)
     opt.seed = 21;
 
     EvalCache cache;
-    EvalEngineOptions ns1;
+    ExecRequest ns1;
+    ns1.objective = counted;
     ns1.cache = &cache;
     ns1.cache_namespace = "bench-one@aa";
     Tuner t1(s, opt);
-    EvalEngine(ns1).run(t1, counted);
+    execute(t1, ns1);
     int after_first = calls.load();
     EXPECT_EQ(after_first, 6);
 
     // Same configs under a different namespace: all misses, re-evaluated.
-    EvalEngineOptions ns2 = ns1;
+    ExecRequest ns2 = ns1;
     ns2.cache_namespace = "bench-two@bb";
     Tuner t2(s, opt);
-    EvalEngine(ns2).run(t2, counted);
+    execute(t2, ns2);
     EXPECT_EQ(calls.load(), 2 * after_first);
 
     // Same namespace again: fully served from cache.
     Tuner t3(s, opt);
-    EvalEngine(ns1).run(t3, counted);
+    execute(t3, ns1);
     EXPECT_EQ(calls.load(), 2 * after_first);
 }
 
@@ -350,12 +351,14 @@ TEST(EvalCache, EngineShortCircuitsRepeatRuns)
     opt.seed = 9;
 
     EvalCache cache;
-    EvalEngineOptions eopt;
-    eopt.batch_size = 2;
-    eopt.cache = &cache;
+    ExecRequest req;
+    req.policy = ExecutionPolicy::Batched(2);
+    req.objective = counted;
+    req.cache = &cache;
 
     Tuner t1(s, opt);
-    TuningHistory h1 = EvalEngine(eopt).run(t1, counted);
+    execute(t1, req);
+    TuningHistory h1 = t1.take_history();
     int first_run_calls = calls.load();
     EXPECT_EQ(first_run_calls, 10);
     EXPECT_EQ(cache.size(), 10u);
@@ -363,7 +366,8 @@ TEST(EvalCache, EngineShortCircuitsRepeatRuns)
     // Same seed, same deterministic objective: every configuration the
     // second run proposes is already cached, so the black box never runs.
     Tuner t2(s, opt);
-    TuningHistory h2 = EvalEngine(eopt).run(t2, counted);
+    execute(t2, req);
+    TuningHistory h2 = t2.take_history();
     EXPECT_EQ(calls.load(), first_run_calls);
     EXPECT_TRUE(histories_equal(h1, h2));
 }
@@ -385,10 +389,11 @@ TEST(EvalCache, PersistedCacheShortCircuitsAcrossSessions)
 
     {
         EvalCache cache;
-        EvalEngineOptions eopt;
-        eopt.cache = &cache;
+        ExecRequest req;
+        req.objective = counted;
+        req.cache = &cache;
         Tuner t(s, opt);
-        EvalEngine(eopt).run(t, counted);
+        execute(t, req);
         ASSERT_TRUE(cache.save(path));
     }
     int session1_calls = calls.load();
@@ -396,10 +401,11 @@ TEST(EvalCache, PersistedCacheShortCircuitsAcrossSessions)
     // A fresh "session" reloads the cache from disk.
     EvalCache cache;
     ASSERT_TRUE(cache.load(path));
-    EvalEngineOptions eopt;
-    eopt.cache = &cache;
+    ExecRequest req;
+    req.objective = counted;
+    req.cache = &cache;
     Tuner t(s, opt);
-    EvalEngine(eopt).run(t, counted);
+    execute(t, req);
     EXPECT_EQ(calls.load(), session1_calls);
     std::remove(path.c_str());
 }

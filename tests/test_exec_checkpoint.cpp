@@ -9,7 +9,7 @@
 #include "baselines/opentuner_like.hpp"
 #include "core/tuner.hpp"
 #include "exec/checkpoint.hpp"
-#include "exec/eval_engine.hpp"
+#include "api/study.hpp"
 
 namespace baco {
 namespace {
@@ -48,8 +48,10 @@ TEST(Checkpoint, SaveLoadRoundtripPreservesHistory)
     opt.seed = 4;
     opt.log_objective = false;
     Tuner tuner(s, opt);
-    EvalEngine engine;
-    engine.drive(tuner, mixed_eval, 12);
+    ExecRequest req;
+    req.objective = mixed_eval;
+    req.max_evals = 12;
+    execute(tuner, req);
 
     std::string path = testing::TempDir() + "baco_test_ckpt_roundtrip.jsonl";
     ASSERT_TRUE(save_checkpoint(path, tuner));
@@ -72,21 +74,23 @@ TEST(Checkpoint, ResumeReproducesUninterruptedHistory)
     opt.seed = 13;
     opt.log_objective = false;
 
-    EvalEngineOptions eopt;
-    eopt.batch_size = 2;
+    ExecRequest req;
+    req.policy = ExecutionPolicy::Batched(2);
+    req.objective = mixed_eval;
 
     // Reference: one uninterrupted run.
     Tuner full(s, opt);
-    TuningHistory reference = EvalEngine(eopt).run(full, mixed_eval);
+    execute(full, req);
+    TuningHistory reference = full.take_history();
     ASSERT_EQ(reference.size(), 20u);
 
     // Interrupted run: 8 evaluations (a batch boundary), then "crash".
     std::string path = testing::TempDir() + "baco_test_ckpt_resume.jsonl";
-    EvalEngineOptions copt = eopt;
-    copt.checkpoint_path = path;
+    req.checkpoint_path = path;
     {
         Tuner interrupted(s, opt);
-        EvalEngine(copt).drive(interrupted, mixed_eval, 8);
+        req.max_evals = 8;
+        execute(interrupted, req);
         ASSERT_EQ(interrupted.history().size(), 8u);
     }
 
@@ -94,7 +98,9 @@ TEST(Checkpoint, ResumeReproducesUninterruptedHistory)
     Tuner resumed(s, opt);
     ASSERT_TRUE(resume_from_checkpoint(path, resumed));
     ASSERT_EQ(resumed.history().size(), 8u);
-    TuningHistory final_history = EvalEngine(copt).run(resumed, mixed_eval);
+    req.max_evals = -1;
+    execute(resumed, req);
+    TuningHistory final_history = resumed.take_history();
 
     EXPECT_TRUE(histories_equal(reference, final_history));
     EXPECT_EQ(reference.best_value, final_history.best_value);
@@ -112,15 +118,20 @@ TEST(Checkpoint, ResumeWorksForBaselines)
     std::string path = testing::TempDir() + "baco_test_ckpt_baseline.jsonl";
     {
         OpenTunerLike interrupted(s, opt);
-        EvalEngineOptions copt;
-        copt.checkpoint_path = path;
-        EvalEngine(copt).drive(interrupted, mixed_eval, 6);
+        ExecRequest req;
+        req.objective = mixed_eval;
+        req.checkpoint_path = path;
+        req.max_evals = 6;
+        execute(interrupted, req);
     }
 
     OpenTunerLike resumed(s, opt);
     ASSERT_TRUE(resume_from_checkpoint(path, resumed));
     EXPECT_EQ(resumed.history().size(), 6u);
-    TuningHistory h = EvalEngine().run(resumed, mixed_eval);
+    ExecRequest req;
+    req.objective = mixed_eval;
+    execute(resumed, req);
+    TuningHistory h = resumed.take_history();
     EXPECT_EQ(h.size(), 14u);
     std::remove(path.c_str());
 }
@@ -136,8 +147,11 @@ TEST(Checkpoint, BanditWindowResumesBitForBit)
     opt.initial_random = 6;
     opt.seed = 91;
 
+    ExecRequest req;
+    req.objective = mixed_eval;
     OpenTunerLike full(s, opt);
-    TuningHistory reference = EvalEngine().run(full, mixed_eval);
+    execute(full, req);
+    TuningHistory reference = full.take_history();
     ASSERT_EQ(reference.size(), 30u);
 
     // Interrupt well past the seed phase, when the bandit credit state
@@ -145,15 +159,17 @@ TEST(Checkpoint, BanditWindowResumesBitForBit)
     std::string path = testing::TempDir() + "baco_test_ckpt_bandit.jsonl";
     {
         OpenTunerLike interrupted(s, opt);
-        EvalEngineOptions copt;
+        ExecRequest copt = req;
         copt.checkpoint_path = path;
-        EvalEngine(copt).drive(interrupted, mixed_eval, 18);
+        copt.max_evals = 18;
+        execute(interrupted, copt);
     }
 
     OpenTunerLike resumed(s, opt);
     ASSERT_TRUE(resume_from_checkpoint(path, resumed));
     ASSERT_EQ(resumed.history().size(), 18u);
-    TuningHistory final_history = EvalEngine().run(resumed, mixed_eval);
+    execute(resumed, req);
+    TuningHistory final_history = resumed.take_history();
 
     EXPECT_TRUE(histories_equal(reference, final_history));
     EXPECT_EQ(reference.best_value, final_history.best_value);
@@ -171,9 +187,11 @@ TEST(Checkpoint, ResumeRejectsSeedMismatch)
     std::string path = testing::TempDir() + "baco_test_ckpt_seed.jsonl";
     {
         OpenTunerLike run(s, opt);
-        EvalEngineOptions copt;
-        copt.checkpoint_path = path;
-        EvalEngine(copt).drive(run, mixed_eval, 4);
+        ExecRequest req;
+        req.objective = mixed_eval;
+        req.checkpoint_path = path;
+        req.max_evals = 4;
+        execute(run, req);
     }
 
     // The per-evaluation RNG streams are rooted at the run seed, so a
@@ -211,8 +229,10 @@ TEST(Checkpoint, PendingEvaluationsRoundTrip)
     opt.seed = 6;
     opt.log_objective = false;
     Tuner tuner(s, opt);
-    EvalEngine engine;
-    engine.drive(tuner, mixed_eval, 4);
+    ExecRequest req;
+    req.objective = mixed_eval;
+    req.max_evals = 4;
+    execute(tuner, req);
 
     // Two in-flight evaluations (mixed types, permutation included).
     std::vector<PendingEval> pending;

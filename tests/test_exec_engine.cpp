@@ -1,5 +1,5 @@
-// The batched evaluation engine: thread pool, serial/batched determinism,
-// batch diversity, and parallel suite repetitions.
+// Batched execution: thread pool, serial/batched determinism, batch
+// diversity, and parallel suite repetitions.
 
 #include <gtest/gtest.h>
 
@@ -9,7 +9,7 @@
 
 #include "baselines/random_search.hpp"
 #include "core/tuner.hpp"
-#include "exec/eval_engine.hpp"
+#include "api/study.hpp"
 #include "exec/thread_pool.hpp"
 #include "suite/registry.hpp"
 #include "suite/runner.hpp"
@@ -76,11 +76,11 @@ TEST(EvalEngine, Batch1ReproducesSerialRunBitForBit)
     TuningHistory serial = Tuner(s, opt).run(synthetic_eval);
 
     Tuner tuner(s, opt);
-    EvalEngineOptions eopt;
-    eopt.num_threads = 4;
-    eopt.batch_size = 1;
-    EvalEngine engine(eopt);
-    TuningHistory batched = engine.run(tuner, synthetic_eval);
+    ExecRequest req;
+    req.policy = ExecutionPolicy::Batched(/*batch_size=*/1, /*num_threads=*/4);
+    req.objective = synthetic_eval;
+    execute(tuner, req);
+    TuningHistory batched = tuner.take_history();
 
     ASSERT_EQ(serial.size(), batched.size());
     EXPECT_TRUE(histories_equal(serial, batched));
@@ -95,14 +95,16 @@ TEST(EvalEngine, Batch4ReproducibleAcrossRunsAndCompletesBudget)
     opt.doe_samples = 8;
     opt.seed = 7;
 
-    EvalEngineOptions eopt;
-    eopt.num_threads = 4;
-    eopt.batch_size = 4;
+    ExecRequest req;
+    req.policy = ExecutionPolicy::Batched(/*batch_size=*/4, /*num_threads=*/4);
+    req.objective = synthetic_eval;
 
     Tuner t1(s, opt);
-    TuningHistory h1 = EvalEngine(eopt).run(t1, synthetic_eval);
+    execute(t1, req);
+    TuningHistory h1 = t1.take_history();
     Tuner t2(s, opt);
-    TuningHistory h2 = EvalEngine(eopt).run(t2, synthetic_eval);
+    execute(t2, req);
+    TuningHistory h2 = t2.take_history();
 
     EXPECT_EQ(h1.size(), 24u);
     EXPECT_TRUE(histories_equal(h1, h2));
@@ -118,10 +120,11 @@ TEST(EvalEngine, ConstantLiarBatchIsDiverse)
     Tuner tuner(s, opt);
 
     // Get past the DoE phase so suggest() uses the model + constant liar.
-    EvalEngineOptions eopt;
-    eopt.batch_size = 4;
-    EvalEngine engine(eopt);
-    engine.drive(tuner, synthetic_eval, 12);
+    ExecRequest req;
+    req.policy = ExecutionPolicy::Batched(4);
+    req.objective = synthetic_eval;
+    req.max_evals = 12;
+    execute(tuner, req);
 
     std::vector<Configuration> batch = tuner.suggest(4);
     ASSERT_EQ(batch.size(), 4u);
@@ -140,11 +143,12 @@ TEST(EvalEngine, BaselinesRunBatchedToFullBudget)
     for (Method m : methods) {
         std::unique_ptr<AskTellTuner> tuner =
             suite::make_ask_tell(s, m, 20, 6, 11);
-        EvalEngineOptions eopt;
-        eopt.num_threads = 2;
-        eopt.batch_size = 4;
-        EvalEngine engine(eopt);
-        TuningHistory h = engine.run(*tuner, synthetic_eval);
+        ExecRequest req;
+        req.policy =
+            ExecutionPolicy::Batched(/*batch_size=*/4, /*num_threads=*/2);
+        req.objective = synthetic_eval;
+        execute(*tuner, req);
+        TuningHistory h = tuner->take_history();
         EXPECT_EQ(h.size(), 20u) << suite::method_name(m);
         EXPECT_TRUE(h.best_config.has_value()) << suite::method_name(m);
     }
@@ -159,10 +163,11 @@ TEST(EvalEngine, BaselineBatch1MatchesSerialRun)
     TuningHistory serial = run_uniform_sampling(s, synthetic_eval, opt);
 
     RandomSearchTuner tuner(s, opt, /*biased_walk=*/false);
-    EvalEngineOptions eopt;
-    eopt.num_threads = 3;
-    EvalEngine engine(eopt);
-    TuningHistory batched = engine.run(tuner, synthetic_eval);
+    ExecRequest req;
+    req.policy = ExecutionPolicy::Batched(/*batch_size=*/1, /*num_threads=*/3);
+    req.objective = synthetic_eval;
+    execute(tuner, req);
+    TuningHistory batched = tuner.take_history();
     EXPECT_TRUE(histories_equal(serial, batched));
 }
 
@@ -185,11 +190,17 @@ TEST(SuiteRunner, RunMethodBatchedMatchesRunMethodAtBatch1)
     const Benchmark& b = suite::find_benchmark("SDDMM/email-Enron");
     TuningHistory serial =
         suite::run_method(b, suite::Method::kUniform, 10, 31);
-    EvalEngineOptions eopt;
-    eopt.num_threads = 2;
-    eopt.batch_size = 1;
-    TuningHistory batched = suite::run_method_batched(
-        b, suite::Method::kUniform, 10, 31, eopt);
+    TuningHistory batched =
+        StudyBuilder()
+            .benchmark(b)
+            .method(suite::method_name(suite::Method::kUniform))
+            .budget(10)
+            .seed(31)
+            .execution(ExecutionPolicy::Batched(/*batch_size=*/1,
+                                                /*num_threads=*/2))
+            .build()
+            .run()
+            .history;
     EXPECT_TRUE(histories_equal(serial, batched));
 }
 

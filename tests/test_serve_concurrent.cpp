@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <thread>
@@ -15,6 +16,9 @@
 
 #include <unistd.h>
 
+#include "api/study.hpp"
+#include "exec/checkpoint.hpp"
+#include "obs/metrics.hpp"
 #include "serve/client.hpp"
 #include "serve/coordinator.hpp"
 #include "serve/protocol.hpp"
@@ -37,6 +41,33 @@ unique_unix_path(const std::string& tag)
     return testing::TempDir() + "baco_conc_" + tag + "_" +
            std::to_string(::getpid()) + "_" + std::to_string(counter++) +
            ".sock";
+}
+
+/** `tuner`'s whole budget on an attached fleet, barrier rounds of batch. */
+TuningHistory
+run_on_fleet(Coordinator& coordinator, AskTellTuner& tuner, int batch)
+{
+    ExecRequest req;
+    req.policy = ExecutionPolicy::Attached(&coordinator, batch);
+    req.benchmark = kBench;
+    execute(tuner, req);
+    return tuner.take_history();
+}
+
+/** The same-seed run on an undisturbed 2-worker fleet of its own. */
+TuningHistory
+distributed_reference(suite::Method method, int budget, std::uint64_t seed,
+                      int batch)
+{
+    return StudyBuilder()
+        .benchmark(kBench)
+        .method(suite::method_name(method))
+        .budget(budget)
+        .seed(seed)
+        .execution(ExecutionPolicy::Distributed(/*workers=*/2, batch))
+        .build()
+        .run()
+        .history;
 }
 
 /** A worker fleet of loopback threads attached to a coordinator. */
@@ -132,13 +163,9 @@ TEST(ServeConcurrent, ConcurrentFleetRunsMatchSerialRuns)
     constexpr int kRuns = 3;
 
     std::vector<TuningHistory> refs;
-    for (std::uint64_t seed : seeds) {
-        suite::DistributedOptions dopt;
-        dopt.workers = 2;
-        dopt.batch_size = batch;
-        refs.push_back(suite::run_method_distributed(
-            b, suite::Method::kBaco, budget, seed, dopt));
-    }
+    for (std::uint64_t seed : seeds)
+        refs.push_back(distributed_reference(suite::Method::kBaco, budget,
+                                             seed, batch));
 
     Fleet fleet(2);
     std::vector<TuningHistory> got(kRuns);
@@ -150,10 +177,7 @@ TEST(ServeConcurrent, ConcurrentFleetRunsMatchSerialRuns)
             std::unique_ptr<AskTellTuner> tuner = suite::make_ask_tell(
                 *space, suite::Method::kBaco, budget, b.doe_samples,
                 seeds[i]);
-            BatchSpec spec;
-            spec.benchmark = b.name;
-            spec.run_seed = seeds[i];
-            got[i] = fleet.coordinator.run(*tuner, spec, batch);
+            got[i] = run_on_fleet(fleet.coordinator, *tuner, batch);
         });
     }
     for (std::thread& t : drivers)
@@ -272,6 +296,53 @@ TEST(ServeConcurrent, AdmissionControlCapsActiveRuns)
     EXPECT_EQ(fleet.coordinator.active_runs(), 1u);
 }
 
+TEST(ServeConcurrent, OneAdmissionPerDistributedStudy)
+{
+    // A sync Distributed study takes one run lease for its whole drive —
+    // not one per round, and not one more per resumed pending eval — so
+    // admission control can never refuse it between its own rounds.
+    auto admitted = [](const obs::MetricsSnapshot& before) {
+        return obs::MetricsRegistry::global()
+            .snapshot()
+            .delta_since(before)
+            .value("coord.runs.admitted_total");
+    };
+    auto study = [] {
+        return StudyBuilder()
+            .benchmark(kBench)
+            .method("Uniform")
+            .budget(20)
+            .seed(5)
+            .execution(ExecutionPolicy::Distributed(2, 4));
+    };
+
+    obs::MetricsSnapshot before = obs::MetricsRegistry::global().snapshot();
+    StudyResult fresh = study().build().run();
+    EXPECT_EQ(fresh.history.size(), 20u);
+    EXPECT_EQ(admitted(before), 1.0);
+
+    // A killed async run left index 3 in flight after three tells.
+    std::string path = testing::TempDir() + "baco_conc_admission.ckpt";
+    std::remove(path.c_str());
+    {
+        Study asked = study().execution(ExecutionPolicy::Serial()).build();
+        const Benchmark& b = suite::find_benchmark(kBench);
+        for (std::uint64_t i = 0; i < 3; ++i) {
+            Configuration c = asked.ask(1).front();
+            RngEngine rng = eval_rng_for(5, i);
+            asked.tell(c, b.evaluate(c, rng));
+        }
+        std::vector<PendingEval> pending{PendingEval{3, asked.ask(1).front()}};
+        ASSERT_TRUE(save_checkpoint(path, asked.tuner(), pending));
+    }
+    before = obs::MetricsRegistry::global().snapshot();
+    StudyResult resumed = study().checkpoint(path, /*resume=*/true).build().run();
+    EXPECT_TRUE(resumed.resumed);
+    EXPECT_EQ(resumed.history.size(), 20u);
+    EXPECT_EQ(admitted(before), 1.0);
+    std::remove(path.c_str());
+}
+
 TEST(ServeConcurrent, BusyRunRequestGetsStructuredErrorFrame)
 {
     // A run frame refused by admission control must come back as an
@@ -335,11 +406,8 @@ TEST(ServeConcurrent, WorkerReconnectsAfterHeartbeatDeath)
     const int batch = 4;
 
     auto reference = [&](std::uint64_t seed) {
-        suite::DistributedOptions dopt;
-        dopt.workers = 2;
-        dopt.batch_size = batch;
-        return suite::run_method_distributed(b, suite::Method::kUniform,
-                                             budget, seed, dopt);
+        return distributed_reference(suite::Method::kUniform, budget, seed,
+                                     batch);
     };
     TuningHistory ref1 = reference(77);
     TuningHistory ref2 = reference(78);
@@ -384,10 +452,7 @@ TEST(ServeConcurrent, WorkerReconnectsAfterHeartbeatDeath)
         std::shared_ptr<SearchSpace> space = b.make_space(SpaceVariant{});
         std::unique_ptr<AskTellTuner> tuner = suite::make_ask_tell(
             *space, suite::Method::kUniform, budget, b.doe_samples, seed);
-        BatchSpec spec;
-        spec.benchmark = b.name;
-        spec.run_seed = seed;
-        return coordinator.run(*tuner, spec, batch);
+        return run_on_fleet(coordinator, *tuner, batch);
     };
 
     TuningHistory mid_death = drive(77);

@@ -1,5 +1,5 @@
 // The coordinator + worker fleet: shard-deterministic distributed runs
-// matching EvalEngine, worker-failure recovery, straggler re-dispatch,
+// matching in-process ones, worker-failure recovery, straggler re-dispatch,
 // backpressure, and the checkpointed kill/resume of a distributed run.
 
 #include <gtest/gtest.h>
@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "api/study.hpp"
 #include "exec/checkpoint.hpp"
 #include "exec/eval_cache.hpp"
 #include "obs/metrics.hpp"
@@ -26,13 +27,39 @@ namespace {
 
 constexpr const char* kBench = "SDDMM/email-Enron";
 
+/** A study of `method` on the registry benchmark under `policy`. */
+TuningHistory
+study_history(ExecutionPolicy policy, suite::Method method, int budget,
+              std::uint64_t seed, EvalCache* cache = nullptr)
+{
+    return StudyBuilder()
+        .benchmark(kBench)
+        .method(suite::method_name(method))
+        .budget(budget)
+        .seed(seed)
+        .execution(policy)
+        .cache(cache)
+        .build()
+        .run()
+        .history;
+}
+
+/** An execute() request driving an attached fleet. */
+ExecRequest
+fleet_request(Coordinator& coordinator, int batch, bool async = false)
+{
+    ExecRequest req;
+    req.policy = ExecutionPolicy::Attached(&coordinator, batch, async);
+    req.benchmark = kBench;
+    return req;
+}
+
 /** A worker fleet of loopback threads attached to a coordinator. */
 struct Fleet {
   Coordinator coordinator;
   std::vector<std::thread> threads;
 
-  explicit Fleet(int workers, CoordinatorOptions opt = CoordinatorOptions{})
-      : coordinator(opt)
+  explicit Fleet(int workers)
   {
       threads = attach_loopback_workers(coordinator, workers);
       EXPECT_EQ(coordinator.num_workers(),
@@ -51,22 +78,17 @@ TEST(ServeDistributed, TwoWorkersReproduceEvalEngineTrajectory)
 {
     // The headline acceptance check: a coordinator with 2 loopback
     // workers tuning a registry benchmark produces the same incumbent
-    // trajectory as EvalEngine batch mode with the same seed.
-    const Benchmark& b = suite::find_benchmark(kBench);
+    // trajectory as in-process batch mode with the same seed.
     const int budget = 16;
     const std::uint64_t seed = 5;
     const int batch = 4;
 
-    EvalEngineOptions eopt;
-    eopt.batch_size = batch;
-    TuningHistory reference = suite::run_method_batched(
-        b, suite::Method::kBaco, budget, seed, eopt);
+    TuningHistory reference = study_history(
+        ExecutionPolicy::Batched(batch), suite::Method::kBaco, budget, seed);
 
-    suite::DistributedOptions dopt;
-    dopt.workers = 2;
-    dopt.batch_size = batch;
-    TuningHistory distributed = suite::run_method_distributed(
-        b, suite::Method::kBaco, budget, seed, dopt);
+    TuningHistory distributed = study_history(
+        ExecutionPolicy::Distributed(/*workers=*/2, batch),
+        suite::Method::kBaco, budget, seed);
 
     ASSERT_EQ(distributed.size(), reference.size());
     EXPECT_TRUE(histories_equal(reference, distributed));
@@ -76,16 +98,12 @@ TEST(ServeDistributed, TwoWorkersReproduceEvalEngineTrajectory)
 TEST(ServeDistributed, WorkerCountDoesNotChangeHistory)
 {
     // Shard-determinism: 1, 2 or 3 workers — identical histories.
-    const Benchmark& b = suite::find_benchmark(kBench);
-    suite::DistributedOptions one;
-    one.workers = 1;
-    one.batch_size = 3;
-    TuningHistory h1 = suite::run_method_distributed(
-        b, suite::Method::kUniform, 12, 9, one);
-    suite::DistributedOptions three = one;
-    three.workers = 3;
-    TuningHistory h3 = suite::run_method_distributed(
-        b, suite::Method::kUniform, 12, 9, three);
+    TuningHistory h1 =
+        study_history(ExecutionPolicy::Distributed(/*workers=*/1, 3),
+                      suite::Method::kUniform, 12, 9);
+    TuningHistory h3 =
+        study_history(ExecutionPolicy::Distributed(/*workers=*/3, 3),
+                      suite::Method::kUniform, 12, 9);
     EXPECT_TRUE(histories_equal(h1, h3));
 }
 
@@ -94,11 +112,9 @@ TEST(ServeDistributed, BatchOneMatchesSerialRunExactly)
     const Benchmark& b = suite::find_benchmark(kBench);
     TuningHistory serial = suite::run_method(b, suite::Method::kUniform,
                                              10, 41);
-    suite::DistributedOptions dopt;
-    dopt.workers = 2;
-    dopt.batch_size = 1;
-    TuningHistory distributed = suite::run_method_distributed(
-        b, suite::Method::kUniform, 10, 41, dopt);
+    TuningHistory distributed =
+        study_history(ExecutionPolicy::Distributed(/*workers=*/2, 1),
+                      suite::Method::kUniform, 10, 41);
     EXPECT_TRUE(histories_equal(serial, distributed));
 }
 
@@ -109,12 +125,9 @@ TEST(ServeDistributed, AsyncSingleSlotMatchesSerialRun)
     const Benchmark& b = suite::find_benchmark(kBench);
     TuningHistory serial =
         suite::run_method(b, suite::Method::kBaco, 12, 17);
-    suite::DistributedOptions dopt;
-    dopt.workers = 2;
-    dopt.batch_size = 1;
-    dopt.async = true;
-    TuningHistory async = suite::run_method_distributed(
-        b, suite::Method::kBaco, 12, 17, dopt);
+    TuningHistory async = study_history(
+        ExecutionPolicy::Distributed(/*workers=*/2, 1, /*async=*/true),
+        suite::Method::kBaco, 12, 17);
     EXPECT_TRUE(histories_equal(serial, async));
 }
 
@@ -131,10 +144,6 @@ TEST(ServeDistributed, AsyncDriveStreamsEveryResultAndKillResumeRecovers)
     std::remove(ckpt.c_str());
     std::remove(snapshot.c_str());
 
-    BatchSpec spec;
-    spec.benchmark = b.name;
-    spec.run_seed = seed;
-
     // First leg: full async fleet run, photographing the checkpoint
     // right after the 6th tell — evaluations still in flight.
     std::uint64_t streamed = 0;
@@ -142,22 +151,24 @@ TEST(ServeDistributed, AsyncDriveStreamsEveryResultAndKillResumeRecovers)
         Fleet fleet(3);
         std::unique_ptr<AskTellTuner> tuner = suite::make_ask_tell(
             *space, suite::Method::kBaco, budget, b.doe_samples, seed);
-        fleet.coordinator.drive_async(
-            *tuner, spec, slots, -1, ckpt, [&](const AsyncEvent& ev) {
-                EXPECT_EQ(ev.evals, streamed + 1);
-                if (++streamed == 6) {
-                    std::FILE* in = std::fopen(ckpt.c_str(), "rb");
-                    std::FILE* out = std::fopen(snapshot.c_str(), "wb");
-                    ASSERT_NE(in, nullptr);
-                    ASSERT_NE(out, nullptr);
-                    char buf[4096];
-                    std::size_t n;
-                    while ((n = std::fread(buf, 1, sizeof buf, in)) > 0)
-                        std::fwrite(buf, 1, n, out);
-                    std::fclose(in);
-                    std::fclose(out);
-                }
-            });
+        ExecRequest req = fleet_request(fleet.coordinator, slots, true);
+        req.checkpoint_path = ckpt;
+        req.on_event = [&](const AsyncEvent& ev) {
+            EXPECT_EQ(ev.evals, streamed + 1);
+            if (++streamed == 6) {
+                std::FILE* in = std::fopen(ckpt.c_str(), "rb");
+                std::FILE* out = std::fopen(snapshot.c_str(), "wb");
+                ASSERT_NE(in, nullptr);
+                ASSERT_NE(out, nullptr);
+                char buf[4096];
+                std::size_t n;
+                while ((n = std::fread(buf, 1, sizeof buf, in)) > 0)
+                    std::fwrite(buf, 1, n, out);
+                std::fclose(in);
+                std::fclose(out);
+            }
+        };
+        execute(*tuner, req);
         EXPECT_EQ(tuner->history().size(),
                   static_cast<std::size_t>(budget));
         EXPECT_EQ(streamed, static_cast<std::uint64_t>(budget));
@@ -181,8 +192,9 @@ TEST(ServeDistributed, AsyncDriveStreamsEveryResultAndKillResumeRecovers)
     for (const PendingEval& p : pending)
         pending_hashes.push_back(config_hash(p.config));
 
-    fleet2.coordinator.drive_async(*resumed, spec, slots, -1, {}, {},
-                                   std::move(pending));
+    ExecRequest req = fleet_request(fleet2.coordinator, slots, true);
+    req.resume_pending = std::move(pending);
+    execute(*resumed, req);
     const TuningHistory& h = resumed->history();
     ASSERT_EQ(h.size(), static_cast<std::size_t>(budget));
     std::map<std::size_t, int> counts;
@@ -198,23 +210,20 @@ TEST(ServeDistributed, AsyncDriveStreamsEveryResultAndKillResumeRecovers)
 
 TEST(ServeDistributed, SuggestAheadSingleSlotMatchesSerialRun)
 {
-    // CoordinatorOptions::suggest_ahead is ignored at one slot — there
-    // is nothing to overlap — so the fleet must still reproduce the
-    // serial loop bit-for-bit, prefetch knob and all.
+    // ExecutionPolicy::suggest_ahead is ignored at one slot — there is
+    // nothing to overlap — so the fleet must still reproduce the serial
+    // loop bit-for-bit, prefetch knob and all.
     const Benchmark& b = suite::find_benchmark(kBench);
     TuningHistory serial =
         suite::run_method(b, suite::Method::kBaco, 12, 17);
 
     std::shared_ptr<SearchSpace> space = b.make_space(SpaceVariant{});
-    CoordinatorOptions copt;
-    copt.suggest_ahead = true;
-    Fleet fleet(2, copt);
+    Fleet fleet(2);
     std::unique_ptr<AskTellTuner> tuner = suite::make_ask_tell(
         *space, suite::Method::kBaco, 12, b.doe_samples, 17);
-    BatchSpec spec;
-    spec.benchmark = b.name;
-    spec.run_seed = 17;
-    fleet.coordinator.drive_async(*tuner, spec, /*slots=*/1);
+    ExecRequest req = fleet_request(fleet.coordinator, /*slots=*/1, true);
+    req.policy.suggest_ahead = true;
+    execute(*tuner, req);
     EXPECT_TRUE(histories_equal(serial, tuner->history()));
 }
 
@@ -222,23 +231,20 @@ TEST(ServeDistributed, SuggestAheadFleetPrefetchesAndStaysExactlyOnce)
 {
     // Multi-slot suggest-ahead across a real worker fleet: the drive
     // must complete the budget with every suggestion told exactly once,
-    // and the coord.suggest_ahead_* counters must show the prefetch
+    // and the engine.suggest_ahead_* counters must show the prefetch
     // actually launched and was consumed.
     const Benchmark& b = suite::find_benchmark(kBench);
     std::shared_ptr<SearchSpace> space = b.make_space(SpaceVariant{});
     const int budget = 18;
 
-    CoordinatorOptions copt;
-    copt.suggest_ahead = true;
-    Fleet fleet(3, copt);
+    Fleet fleet(3);
     std::unique_ptr<AskTellTuner> tuner = suite::make_ask_tell(
         *space, suite::Method::kBaco, budget, b.doe_samples, 23);
-    BatchSpec spec;
-    spec.benchmark = b.name;
-    spec.run_seed = 23;
+    ExecRequest req = fleet_request(fleet.coordinator, /*slots=*/4, true);
+    req.policy.suggest_ahead = true;
 
     obs::MetricsSnapshot before = obs::MetricsRegistry::global().snapshot();
-    fleet.coordinator.drive_async(*tuner, spec, /*slots=*/4);
+    execute(*tuner, req);
     obs::MetricsSnapshot delta =
         obs::MetricsRegistry::global().snapshot().delta_since(before);
 
@@ -250,8 +256,8 @@ TEST(ServeDistributed, SuggestAheadFleetPrefetchesAndStaysExactlyOnce)
     for (const auto& [hash, n] : counts)
         EXPECT_EQ(n, 1) << "config told more than once (hash " << hash
                         << ")";
-    EXPECT_GE(delta.value("coord.suggest_ahead_total"), 1.0);
-    EXPECT_GE(delta.value("coord.suggest_ahead_used_total"), 1.0);
+    EXPECT_GE(delta.value("engine.suggest_ahead_total"), 1.0);
+    EXPECT_GE(delta.value("engine.suggest_ahead_used_total"), 1.0);
 }
 
 TEST(ServeDistributed, EvaluateBatchAssemblesInInputOrder)
@@ -265,13 +271,10 @@ TEST(ServeDistributed, EvaluateBatchAssemblesInInputOrder)
     for (int i = 0; i < 10; ++i)
         configs.push_back(space->sample_unconstrained(rng));
 
-    BatchSpec spec;
-    spec.benchmark = b.name;
-    spec.run_seed = 99;
-    spec.first_index = 12;
+    FleetBackend backend(fleet.coordinator, b.name, /*run_seed=*/99);
     double eval_seconds = 0.0;
-    std::vector<EvalResult> sharded =
-        fleet.coordinator.evaluate_batch(spec, configs, &eval_seconds);
+    std::vector<EvalResult> sharded = evaluate_round(
+        backend, nullptr, "", /*first_index=*/12, configs, &eval_seconds);
 
     ASSERT_EQ(sharded.size(), configs.size());
     EXPECT_GT(eval_seconds, 0.0);
@@ -329,10 +332,8 @@ TEST(ServeDistributed, SurvivesWorkerDeathMidRun)
 
     std::unique_ptr<AskTellTuner> tuner = suite::make_ask_tell(
         *space, suite::Method::kUniform, 12, b.doe_samples, 31);
-    BatchSpec spec;
-    spec.benchmark = b.name;
-    spec.run_seed = 31;
-    TuningHistory history = coordinator.run(*tuner, spec, 4);
+    execute(*tuner, fleet_request(coordinator, 4));
+    TuningHistory history = tuner->take_history();
     coordinator.shutdown();
     t1.join();
     t2.join();
@@ -340,11 +341,9 @@ TEST(ServeDistributed, SurvivesWorkerDeathMidRun)
     EXPECT_EQ(history.size(), 12u);
     EXPECT_LE(coordinator.num_workers(), 1u);
 
-    suite::DistributedOptions dopt;
-    dopt.workers = 2;
-    dopt.batch_size = 4;
-    TuningHistory reference = suite::run_method_distributed(
-        b, suite::Method::kUniform, 12, 31, dopt);
+    TuningHistory reference =
+        study_history(ExecutionPolicy::Distributed(/*workers=*/2, 4),
+                      suite::Method::kUniform, 12, 31);
     EXPECT_TRUE(histories_equal(reference, history));
 }
 
@@ -391,11 +390,11 @@ TEST(ServeDistributed, StragglerIsReDispatchedToFreeWorker)
     std::vector<Configuration> configs;
     for (int i = 0; i < 6; ++i)
         configs.push_back(space->sample_unconstrained(rng));
-    BatchSpec spec;
-    spec.benchmark = b.name;
-    spec.run_seed = 17;
-    std::vector<EvalResult> results =
-        coordinator.evaluate_batch(spec, configs);
+    std::vector<EvalResult> results;
+    {
+        FleetBackend backend(coordinator, b.name, /*run_seed=*/17);
+        results = evaluate_round(backend, nullptr, "", 0, configs);
+    }
     coordinator.shutdown();
     t1.join();
     t2.join();
@@ -443,11 +442,11 @@ TEST(ServeDistributed, GarbageEmittingWorkerDoesNotWedgeBatch)
     std::vector<Configuration> configs;
     for (int i = 0; i < 6; ++i)
         configs.push_back(space->sample_unconstrained(rng));
-    BatchSpec spec;
-    spec.benchmark = b.name;
-    spec.run_seed = 23;
-    std::vector<EvalResult> results =
-        coordinator.evaluate_batch(spec, configs);
+    std::vector<EvalResult> results;
+    {
+        FleetBackend backend(coordinator, b.name, /*run_seed=*/23);
+        results = evaluate_round(backend, nullptr, "", 0, configs);
+    }
     coordinator.shutdown();
     t1.join();
     t2.join();
@@ -480,31 +479,26 @@ TEST(ServeDistributed, ThrowsWhenAllWorkersAreGone)
     RngEngine rng(1);
     std::vector<Configuration> configs = {
         space->sample_unconstrained(rng)};
-    BatchSpec spec;
-    spec.benchmark = b.name;
-    spec.run_seed = 1;
-    EXPECT_THROW(coordinator.evaluate_batch(spec, configs),
+    FleetBackend backend(coordinator, b.name, /*run_seed=*/1);
+    EXPECT_THROW(evaluate_round(backend, nullptr, "", 0, configs),
                  std::runtime_error);
     t1.join();
 }
 
 TEST(ServeDistributed, SharedCacheShortCircuitsDispatch)
 {
-    const Benchmark& b = suite::find_benchmark(kBench);
     EvalCache cache;
-    suite::DistributedOptions dopt;
-    dopt.workers = 2;
-    dopt.batch_size = 3;
-    dopt.cache = &cache;
+    const ExecutionPolicy policy =
+        ExecutionPolicy::Distributed(/*workers=*/2, 3);
 
-    TuningHistory h1 = suite::run_method_distributed(
-        b, suite::Method::kUniform, 9, 13, dopt);
+    TuningHistory h1 =
+        study_history(policy, suite::Method::kUniform, 9, 13, &cache);
     EXPECT_EQ(cache.misses(), 9u);
     std::uint64_t hits_before = cache.hits();
 
     // Second identical run: every lookup hits; no worker dispatch needed.
-    TuningHistory h2 = suite::run_method_distributed(
-        b, suite::Method::kUniform, 9, 13, dopt);
+    TuningHistory h2 =
+        study_history(policy, suite::Method::kUniform, 9, 13, &cache);
     EXPECT_TRUE(histories_equal(h1, h2));
     EXPECT_EQ(cache.misses(), 9u);
     EXPECT_EQ(cache.hits(), hits_before + 9u);
@@ -522,10 +516,8 @@ TEST(ServeDistributed, KilledDistributedRunResumesFromCheckpoint)
     std::string path =
         testing::TempDir() + "baco_test_distributed.ckpt.jsonl";
 
-    EvalEngineOptions eopt;
-    eopt.batch_size = batch;
-    TuningHistory reference = suite::run_method_batched(
-        b, suite::Method::kBaco, budget, seed, eopt);
+    TuningHistory reference = study_history(
+        ExecutionPolicy::Batched(batch), suite::Method::kBaco, budget, seed);
 
     // Interrupted half: coordinator-driven with checkpointing, killed at
     // a batch boundary by capping max_evals.
@@ -534,10 +526,10 @@ TEST(ServeDistributed, KilledDistributedRunResumesFromCheckpoint)
         Fleet fleet(2);
         std::unique_ptr<AskTellTuner> tuner = suite::make_ask_tell(
             *space, suite::Method::kBaco, budget, b.doe_samples, seed);
-        BatchSpec spec;
-        spec.benchmark = b.name;
-        spec.run_seed = seed;
-        fleet.coordinator.drive(*tuner, spec, batch, 8, path);
+        ExecRequest req = fleet_request(fleet.coordinator, batch);
+        req.checkpoint_path = path;
+        req.max_evals = 8;
+        execute(*tuner, req);
         ASSERT_EQ(tuner->history().size(), 8u);
         // Fleet destructor = the whole driver process dying.
     }
@@ -548,11 +540,8 @@ TEST(ServeDistributed, KilledDistributedRunResumesFromCheckpoint)
         *space, suite::Method::kBaco, budget, b.doe_samples, seed);
     ASSERT_TRUE(resume_from_checkpoint(path, *tuner));
     ASSERT_EQ(tuner->history().size(), 8u);
-    BatchSpec spec;
-    spec.benchmark = b.name;
-    spec.run_seed = seed;
-    TuningHistory final_history =
-        fleet.coordinator.run(*tuner, spec, batch);
+    execute(*tuner, fleet_request(fleet.coordinator, batch));
+    TuningHistory final_history = tuner->take_history();
 
     EXPECT_TRUE(histories_equal(reference, final_history));
     EXPECT_EQ(reference.best_value, final_history.best_value);

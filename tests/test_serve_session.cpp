@@ -9,9 +9,11 @@
 #include <thread>
 #include <vector>
 
+#include "api/study.hpp"
 #include "exec/checkpoint.hpp"
 #include "exec/eval_cache.hpp"
 #include "serve/client.hpp"
+#include "serve/coordinator.hpp"
 #include "serve/server.hpp"
 #include "serve/session_manager.hpp"
 #include "serve/transport.hpp"
@@ -35,10 +37,26 @@ open_request(const std::string& name, const std::string& method, int budget,
     m.benchmark = kBench;
     m.method = method;
     m.budget = budget;
-    m.doe = 0;  // benchmark default, matching run_method_batched
+    m.doe = 0;  // benchmark default, matching batched_reference
     m.seed = seed;
     m.resume = resume;
     return m;
+}
+
+/** The same-seed in-process run: a Study under ExecutionPolicy::Batched. */
+TuningHistory
+batched_reference(suite::Method method, int budget, std::uint64_t seed,
+                  int batch)
+{
+    return StudyBuilder()
+        .benchmark(kBench)
+        .method(suite::method_name(method))
+        .budget(budget)
+        .seed(seed)
+        .execution(ExecutionPolicy::Batched(batch))
+        .build()
+        .run()
+        .history;
 }
 
 /**
@@ -98,13 +116,10 @@ TEST(ServeSession, ProtocolDrivenRunMatchesDirectRun)
     std::optional<SessionInfo> info = sm.info("s1");
     ASSERT_TRUE(info.has_value());
 
-    // The protocol exchange is the EvalEngine exchange over frames: the
-    // session history must match the batched in-process run exactly.
-    const Benchmark& bench = suite::find_benchmark(kBench);
-    EvalEngineOptions eopt;
-    eopt.batch_size = 3;
-    TuningHistory reference = suite::run_method_batched(
-        bench, suite::Method::kUniform, 12, 33, eopt);
+    // The protocol exchange is the drive loop's exchange over frames:
+    // the session history must match the batched in-process run exactly.
+    TuningHistory reference =
+        batched_reference(suite::Method::kUniform, 12, 33, 3);
     EXPECT_EQ(info->evals, reference.size());
     EXPECT_EQ(info->best, reference.best_value);
 }
@@ -208,17 +223,14 @@ TEST(ServeSession, ConcurrentSessionsStayIsolated)
     for (std::thread& t : threads)
         t.join();
 
-    const Benchmark& bench = suite::find_benchmark(kBench);
     for (int t = 0; t < kThreads; ++t) {
         std::optional<SessionInfo> info =
             sm.info("hammer-" + std::to_string(t));
         ASSERT_TRUE(info.has_value());
         EXPECT_EQ(info->evals, static_cast<std::uint64_t>(kBudget));
-        EvalEngineOptions eopt;
-        eopt.batch_size = 1 + t % 3;
-        TuningHistory reference = suite::run_method_batched(
-            bench, suite::Method::kUniform, kBudget,
-            static_cast<std::uint64_t>(100 + t), eopt);
+        TuningHistory reference = batched_reference(
+            suite::Method::kUniform, kBudget,
+            static_cast<std::uint64_t>(100 + t), 1 + t % 3);
         EXPECT_EQ(info->best, reference.best_value) << info->name;
     }
     EXPECT_EQ(sm.size(), static_cast<std::size_t>(kThreads));
@@ -234,11 +246,8 @@ TEST(ServeSession, ServerCrashResumesFromCheckpointAndMatches)
     const std::uint64_t kSeed = 77;
     const int kBatch = 2;
 
-    const Benchmark& bench = suite::find_benchmark(kBench);
-    EvalEngineOptions eopt;
-    eopt.batch_size = kBatch;
-    TuningHistory reference = suite::run_method_batched(
-        bench, suite::Method::kBaco, kBudget, kSeed, eopt);
+    TuningHistory reference =
+        batched_reference(suite::Method::kBaco, kBudget, kSeed, kBatch);
     ASSERT_EQ(reference.size(), static_cast<std::size_t>(kBudget));
 
     std::string name = "crashy";
@@ -437,52 +446,80 @@ TEST(ServeConnection, HandshakeAndMalformedFrames)
 
 TEST(ServeConnection, ServerSideRunCompletesSession)
 {
-    SessionManager sm;
-    ServerContext ctx;
-    ctx.sessions = &sm;
+    // A sync run frame evaluates each round with evaluate_round(): in
+    // process without workers, sharded with them. Either way the
+    // session's whole history is the same-seed Batched(4) Study's, and
+    // a second session replaying the same seed is answered entirely
+    // from the shared cache.
+    TuningHistory reference =
+        batched_reference(suite::Method::kUniform, 10, 21, 4);
+    for (int workers : {0, 2}) {
+        SCOPED_TRACE("workers=" + std::to_string(workers));
+        EvalCache cache;
+        SessionManagerOptions sopt;
+        sopt.cache = &cache;
+        SessionManager sm(sopt);
+        Coordinator coordinator;
+        std::vector<std::thread> worker_threads =
+            attach_loopback_workers(coordinator, workers);
+        ServerContext ctx;
+        ctx.sessions = &sm;
+        if (workers > 0)
+            ctx.coordinator = &coordinator;
 
-    auto [client, server] = loopback_pair();
-    std::thread srv(
-        [&, s = std::shared_ptr<Transport>(std::move(server))] {
-            serve_connection(*s, ctx);
-        });
+        auto [client, server] = loopback_pair();
+        std::thread srv(
+            [&, s = std::shared_ptr<Transport>(std::move(server))] {
+                serve_connection(*s, ctx);
+            });
 
-    Message hello;
-    hello.type = MsgType::kHello;
-    ASSERT_TRUE(client->send(encode(hello)));
-    std::string line;
-    ASSERT_EQ(client->recv(line, 2000), RecvStatus::kOk);
+        Message hello;
+        hello.type = MsgType::kHello;
+        ASSERT_TRUE(client->send(encode(hello)));
+        std::string line;
+        ASSERT_EQ(client->recv(line, 2000), RecvStatus::kOk);
 
-    ASSERT_TRUE(client->send(encode(open_request("run-me", "Uniform",
-                                                 10, 21))));
-    ASSERT_EQ(client->recv(line, 5000), RecvStatus::kOk);
-    Message reply;
-    ASSERT_TRUE(decode(line, reply));
-    ASSERT_EQ(reply.type, MsgType::kOpened) << reply.text;
+        auto run_session = [&](const std::string& name) {
+            Message reply;
+            ASSERT_TRUE(client->send(
+                encode(open_request(name, "Uniform", 10, 21))));
+            ASSERT_EQ(client->recv(line, 5000), RecvStatus::kOk);
+            ASSERT_TRUE(decode(line, reply));
+            ASSERT_EQ(reply.type, MsgType::kOpened) << reply.text;
 
-    Message run;
-    run.type = MsgType::kRun;
-    run.id = 2;
-    run.session = "run-me";
-    run.n = 4;
-    ASSERT_TRUE(client->send(encode(run)));
-    ASSERT_EQ(client->recv(line, 30000), RecvStatus::kOk);
-    ASSERT_TRUE(decode(line, reply));
-    ASSERT_EQ(reply.type, MsgType::kDone) << reply.text;
-    EXPECT_EQ(reply.evals, 10u);
+            Message run;
+            run.type = MsgType::kRun;
+            run.id = 2;
+            run.session = name;
+            run.n = 4;
+            ASSERT_TRUE(client->send(encode(run)));
+            ASSERT_EQ(client->recv(line, 30000), RecvStatus::kOk);
+            ASSERT_TRUE(decode(line, reply));
+            ASSERT_EQ(reply.type, MsgType::kDone) << reply.text;
+            EXPECT_EQ(reply.evals, 10u);
 
-    // In-process evaluation in handle_run matches the EvalEngine run.
-    const Benchmark& bench = suite::find_benchmark(kBench);
-    EvalEngineOptions eopt;
-    eopt.batch_size = 4;
-    TuningHistory reference = suite::run_method_batched(
-        bench, suite::Method::kUniform, 10, 21, eopt);
-    EXPECT_EQ(reply.best, reference.best_value);
+            // The run's evaluation matches the in-process Study's.
+            EXPECT_EQ(reply.best, reference.best_value);
+            TuningHistory told;
+            EXPECT_TRUE(sm.with_tuner(
+                name, [&](AskTellTuner& tuner, const SessionInfo&,
+                          const std::string&) { told = tuner.history(); }));
+            EXPECT_TRUE(histories_equal(reference, told));
+        };
 
-    Message bye;
-    bye.type = MsgType::kShutdown;
-    ASSERT_TRUE(client->send(encode(bye)));
-    srv.join();
+        run_session("run-me");
+        const std::uint64_t hits = cache.hits();
+        run_session("run-me-warm");
+        EXPECT_EQ(cache.hits() - hits, reference.size());
+
+        Message bye;
+        bye.type = MsgType::kShutdown;
+        ASSERT_TRUE(client->send(encode(bye)));
+        srv.join();
+        coordinator.shutdown();
+        for (std::thread& t : worker_threads)
+            t.join();
+    }
 }
 
 TEST(ServeConnection, AsyncRunStreamsResultFramesBeforeDone)

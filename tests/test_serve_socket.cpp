@@ -526,10 +526,11 @@ TEST(ServeSocket, DeadWorkerDetectedViaMissedHeartbeats)
     std::unique_ptr<AskTellTuner> tuner = suite::make_ask_tell(
         *space, suite::Method::kUniform, budget, /*doe_samples=*/4,
         /*seed=*/77);
-    BatchSpec spec;
-    spec.benchmark = kBench;
-    spec.run_seed = 77;
-    TuningHistory history = coordinator.run(*tuner, spec, /*batch=*/4);
+    ExecRequest req;
+    req.policy = ExecutionPolicy::Attached(&coordinator, /*batch_size=*/4);
+    req.benchmark = kBench;
+    execute(*tuner, req);
+    TuningHistory history = tuner->take_history();
     EXPECT_EQ(history.size(), static_cast<std::size_t>(budget));
 
     // The registry counted the death...
