@@ -52,7 +52,12 @@
 #             hold after the long haul
 #
 # Usage: check.sh [--stage tier1|selftest|bench|tidy|tsan|asan|ubsan|perfbench|soak|all]...
-#        (repeatable; default: all — with a pass/fail summary table)
+#        (repeatable; default: all — with a pass/fail/skip summary table)
+#
+# A stage that cannot run on this box (tidy without clang, a sanitizer
+# the compiler lacks) exits with SKIP_EXIT and reads SKIP in the summary,
+# never PASS: what it checks went unverified. Skips alone do not fail
+# the run; the exit status is nonzero only when a stage failed.
 #
 # Environment: BACO_BUILD_TYPE (default Release), BACO_BUILD_DIR
 # (default build), CXX/CC for the compiler, ccache auto-detected.
@@ -62,6 +67,8 @@ set -euo pipefail
 # relative $0 would dangle once we chdir to the repo root.
 SELF="$(cd "$(dirname "$0")" && pwd)/$(basename "$0")"
 cd "$(dirname "$0")/.."
+
+SKIP_EXIT=77
 
 BUILD_TYPE="${BACO_BUILD_TYPE:-Release}"
 BUILD_DIR="${BACO_BUILD_DIR:-build}"
@@ -77,6 +84,12 @@ usage() {
 }
 
 # ---- Stage bodies (each runs under the top-level set -e). -----------------
+
+# End the current stage as skipped (only ever called inside --run-one).
+skip_stage() {
+    echo "check.sh: $*; SKIP"
+    exit "$SKIP_EXIT"
+}
 
 build_main() {
     cmake -B "$BUILD_DIR" -S . -DBACO_WERROR_EXEC=ON \
@@ -153,9 +166,8 @@ stage_tidy() {
     # every merge.
     local clangxx
     if ! clangxx="$(find_clang clang++)"; then
-        echo "check.sh: clang++ unavailable; skipping tidy stage" \
-             "(thread-safety analysis and clang-tidy require clang)"
-        return 0
+        skip_stage "clang++ unavailable; tidy stage not run" \
+                   "(thread-safety analysis and clang-tidy require clang)"
     fi
     # BACO_THREAD_SAFETY promotes the capability analysis to errors and
     # the configure step runs tests/test_static_analysis.cmake — the
@@ -195,24 +207,21 @@ run_sanitizer_suite() {
 
 stage_tsan() {
     if ! sanitizer_available thread; then
-        echo "check.sh: thread sanitizer unavailable; skipping TSAN stage"
-        return 0
+        skip_stage "thread sanitizer unavailable; TSAN stage not run"
     fi
     run_sanitizer_suite tsan thread
 }
 
 stage_asan() {
     if ! sanitizer_available address; then
-        echo "check.sh: address sanitizer unavailable; skipping ASAN stage"
-        return 0
+        skip_stage "address sanitizer unavailable; ASAN stage not run"
     fi
     run_sanitizer_suite asan address
 }
 
 stage_ubsan() {
     if ! sanitizer_available undefined; then
-        echo "check.sh: undefined sanitizer unavailable; skipping UBSAN stage"
-        return 0
+        skip_stage "undefined sanitizer unavailable; UBSAN stage not run"
     fi
     run_sanitizer_suite ubsan undefined
 }
@@ -297,12 +306,16 @@ FAILED=0
 for stage in "${EXPANDED[@]}"; do
     echo
     echo "==== check.sh stage: $stage ===="
-    if "$SELF" --run-one "$stage"; then
-        VERDICT[$stage]=PASS
-    else
+    rc=0
+    "$SELF" --run-one "$stage" || rc=$?
+    case "$rc" in
+      0) VERDICT[$stage]=PASS ;;
+      "$SKIP_EXIT") VERDICT[$stage]=SKIP ;;
+      *)
         VERDICT[$stage]=FAIL
         FAILED=1
-    fi
+        ;;
+    esac
 done
 
 echo

@@ -8,7 +8,7 @@
  *
  * The serving stack is deeply concurrent — a work-stealing ThreadPool,
  * the async drive loop, the multi-client Acceptor, the lock-striped
- * SessionManager, the Coordinator's WorkerHealth registry — and its
+ * SessionManager, the Coordinator's worker and run tables — and its
  * locking discipline used to be enforced only by TSAN runs over the
  * interleavings the test suite happens to produce. These annotations
  * move that discipline to compile time: under clang, `-Wthread-safety`

@@ -169,26 +169,6 @@ HistogramSnapshot::delta_since(const HistogramSnapshot& earlier) const
     return d;
 }
 
-void
-HistogramSnapshot::merge(const HistogramSnapshot& other)
-{
-    if (other.count == 0 && other.buckets.empty())
-        return;
-    if (other.buckets.size() > buckets.size())
-        buckets.resize(other.buckets.size(), 0);
-    for (std::size_t i = 0; i < other.buckets.size(); ++i)
-        buckets[i] += other.buckets[i];
-    if (count == 0) {
-        min = other.min;
-        max = other.max;
-    } else if (other.count > 0) {
-        min = std::min(min, other.min);
-        max = std::max(max, other.max);
-    }
-    count += other.count;
-    sum += other.sum;
-}
-
 const char*
 MetricValue::kind_name(Kind k)
 {

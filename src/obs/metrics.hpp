@@ -107,11 +107,6 @@ struct HistogramSnapshot {
   /** Events recorded here but not in `earlier` (bucket-wise subtract;
    *  min/max fall back to this snapshot's bounds). */
   HistogramSnapshot delta_since(const HistogramSnapshot& earlier) const;
-
-  /** Fold `other` into this snapshot (bucket-wise add, combined
-   *  count/sum, widened min/max) — the inverse of delta_since, used to
-   *  report lifetime stats across histogram resets (session spill). */
-  void merge(const HistogramSnapshot& other);
 };
 
 /**

@@ -41,9 +41,10 @@
  * late-hello path — and is immediately re-leased to active runs, which
  * is how their re-queued shards drain).
  *
- * Fleet health: every received frame refreshes the worker's last-seen
- * time in a WorkerHealth registry (its own mutex, so health() is safe
- * from stats/dump threads while a drive runs). Workers advertising a
+ * Fleet health: every received frame refreshes the last-seen time in
+ * the worker's own record, next to its dispatch accounting under the
+ * scheduler mutex; health() takes that mutex too, so stats and dump
+ * threads can read it while a drive runs. Workers advertising a
  * heartbeat interval in their hello send heartbeat frames when idle
  * between requests; a worker holding outstanding work that goes silent
  * for heartbeat_grace intervals is declared dead by FleetBackend's sweep
@@ -51,7 +52,6 @@
  * instead of the run wedging on a blocked read.
  */
 
-#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -208,17 +208,17 @@ class Coordinator {
                             int capacity, int heartbeat_ms = 0);
 
   /** Workers still believed alive. */
-  std::size_t num_workers() const;
+  std::size_t num_workers() const BACO_EXCLUDES(mu_);
 
   /**
    * Health snapshot of every registered worker, alive or dead.
-   * Thread-safe against concurrently running drives (the registry has
-   * its own mutex), so stats connections and periodic dumps can read it
-   * mid-run. Staleness ("slow") is only judged while the worker holds
-   * outstanding work — an idle worker's frames sit undrained in the
-   * socket buffer, which is not silence.
+   * Thread-safe against concurrently running drives, so stats
+   * connections and periodic dumps can read it mid-run. Staleness
+   * ("slow") is only judged while the worker holds outstanding work — an
+   * idle worker's frames sit undrained in the socket buffer, which is
+   * not silence.
    */
-  std::vector<WorkerHealthSnapshot> health() const;
+  std::vector<WorkerHealthSnapshot> health() const BACO_EXCLUDES(mu_);
 
   /**
    * Open a multiplexed run. max_inflight caps how many of this run's
@@ -254,17 +254,6 @@ class Coordinator {
     std::uint64_t key = 0;
   };
 
-  /** Mirror of one worker's liveness, guarded by health_mutex_. */
-  struct HealthState {
-    bool alive = true;
-    int inflight = 0;
-    std::uint64_t completed = 0;
-    std::uint64_t heartbeats = 0;
-    double ewma_latency_s = 0.0;
-    std::chrono::steady_clock::time_point last_seen;
-    int heartbeat_ms = 0;
-  };
-
   /** begin_run() body; returns the new run id. */
   std::uint64_t begin_run_id(int max_inflight) BACO_EXCLUDES(mu_);
 
@@ -290,8 +279,9 @@ class Coordinator {
       BACO_EXCLUDES(mu_);
 
   /**
-   * Waiting-side maintenance: kill heartbeat-stale workers (re-queueing
-   * their shards) and duplicate straggling tasks onto free workers.
+   * Waiting-side maintenance: kill heartbeat-stale workers — those
+   * holding outstanding work silent past the grace window — re-queueing
+   * their shards, and duplicate straggling tasks onto free workers.
    */
   void sweep() BACO_EXCLUDES(mu_);
 
@@ -312,7 +302,8 @@ class Coordinator {
   /**
    * Transport-level death: close, clear in-flight accounting, re-queue
    * every task whose only live dispatch was on this worker, bump the
-   * coord.worker.dead counter, log the event, wake run waiters.
+   * coord.worker.dead counter and the coord.worker.alive gauge, log the
+   * event, wake run waiters.
    */
   void kill_worker(std::size_t w, const char* reason) BACO_REQUIRES(mu_);
 
@@ -328,28 +319,13 @@ class Coordinator {
   /** Merge a reply's shipped spans into the trace as worker-w's track. */
   static void import_spans(std::size_t w, const Message& reply);
 
-  // WorkerHealth registry updates (all take health_mutex_ themselves,
-  // which is why stats/dump threads can call health() mid-drive).
-  // Lock order: mu_ before health_mutex_, never the reverse.
-  void health_register(int heartbeat_ms) BACO_EXCLUDES(health_mutex_);
-  void health_touch(std::size_t w) BACO_EXCLUDES(health_mutex_);
-  void health_dispatch(std::size_t w) BACO_EXCLUDES(health_mutex_);
-  void health_reply(std::size_t w) BACO_EXCLUDES(health_mutex_);
-  void health_result(std::size_t w, double latency_s)
-      BACO_EXCLUDES(health_mutex_);
-  void health_heartbeat(std::size_t w) BACO_EXCLUDES(health_mutex_);
-  void health_dead(std::size_t w) BACO_EXCLUDES(health_mutex_);
-  /** Workers holding outstanding work silent past the grace window. */
-  std::vector<std::size_t> stale_workers() const
-      BACO_EXCLUDES(health_mutex_);
-
   CoordinatorOptions opt_;
 
   /**
-   * The scheduler mutex: guards the worker table's mutable dispatch
-   * state, the run table and the dispatch-id map. Reader threads and
-   * driver threads meet here; per-run condition variables (inside
-   * RunState) and the admission/shutdown CVs all wait on it.
+   * The scheduler mutex: guards the worker table (dispatch accounting
+   * and health alike), the run table and the dispatch-id map. Reader
+   * threads and driver threads meet here; per-run condition variables
+   * (inside RunState) and the admission/shutdown CVs all wait on it.
    */
   mutable Mutex mu_;
   std::vector<std::unique_ptr<Worker>> workers_ BACO_GUARDED_BY(mu_);
@@ -368,10 +344,6 @@ class Coordinator {
   CondVar admission_cv_;
   /** Signaled on goodbye frames and reader exits during shutdown(). */
   CondVar shutdown_cv_;
-
-  mutable Mutex health_mutex_;
-  /** Index-parallel with workers_. */
-  std::vector<HealthState> health_ BACO_GUARDED_BY(health_mutex_);
 };
 
 /**

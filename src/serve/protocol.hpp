@@ -112,6 +112,13 @@ inline constexpr int kStatsVersion = 1;
 /** Schema version of the propagated trace context ("tcv"). */
 inline constexpr int kTraceVersion = 1;
 
+/**
+ * Largest n a suggest or run frame may ask for (and the async run's
+ * in-flight slot cap): the tuner proposes n configurations, and the
+ * async path starts up to n evaluation threads, under the session lock.
+ */
+inline constexpr int kMaxBatch = 64;
+
 /** Wire name of a frame kind ("open_session", "configs", ...). */
 const char* msg_type_name(MsgType t);
 

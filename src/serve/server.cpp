@@ -97,9 +97,9 @@ handle_server_stats(const Message& req, const ServerContext& ctx)
             reply.stats.push_back(stat_counter(
                 prefix + "landed", static_cast<double>(r.landed)));
         }
-        // Fleet health from the WorkerHealth registry (its own mutex, so
-        // this is safe while sharded runs are in flight). State is
-        // encoded numerically: 2 alive, 1 slow, 0 dead.
+        // Fleet health from the coordinator's worker table (health()
+        // locks it, so this is safe while sharded runs are in flight).
+        // State is encoded numerically: 2 alive, 1 slow, 0 dead.
         double alive = 0.0;
         double slow = 0.0;
         for (const WorkerHealthSnapshot& h : ctx.coordinator->health()) {
@@ -144,10 +144,8 @@ handle_run_async(const Message& req, const ServerContext& ctx,
     // The request's n is the in-flight cap AND (without workers) the
     // engine's thread count — clamp the client-supplied value so one
     // frame cannot make the server spawn an unbounded thread fleet.
-    constexpr int kMaxAsyncSlots = 64;
     const int slots = std::clamp(
-        req.n > 0 ? req.n : std::max(1, ctx.async_slots), 1,
-        kMaxAsyncSlots);
+        req.n > 0 ? req.n : std::max(1, ctx.async_slots), 1, kMaxBatch);
     const int max_evals = req.budget > 0 ? req.budget : -1;
     bool sharded = ctx.coordinator && ctx.coordinator->num_workers() > 0;
 
@@ -222,6 +220,9 @@ handle_run_async(const Message& req, const ServerContext& ctx,
 Message
 handle_run(const Message& req, const ServerContext& ctx)
 {
+    if (req.n > kMaxBatch)
+        return make_error(req.id, "run n exceeds the batch cap of " +
+                                      std::to_string(kMaxBatch));
     std::optional<SessionInfo> info = ctx.sessions->info(req.session);
     if (!info)
         return make_error(req.id, "no such session: " + req.session);

@@ -1,14 +1,17 @@
 #include "serve/session_manager.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <stdexcept>
 
 #include <sys/stat.h>
 
 #include "api/method_registry.hpp"
+#include "core/thread_annotations.hpp"
 #include "exec/checkpoint.hpp"
 #include "exec/eval_cache.hpp"
 #include "obs/log.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "serve/stats_util.hpp"
 #include "suite/registry.hpp"
@@ -44,17 +47,22 @@ struct SessionManager::Session {
   // Deliberately a raw std::mutex, not baco::Mutex: acquire() hands the
   // held lock to its caller through a std::unique_lock out-parameter — a
   // dynamic ownership transfer the static analysis cannot express. The
-  // session-level discipline stays TSAN's job; everything registry-level
-  // (stripes, spill state) is statically checked.
+  // session-level discipline stays TSAN's job; the stripes are
+  // statically checked.
   std::mutex mutex;
   std::string name;
   const Benchmark* benchmark = nullptr;
+  std::string method;  ///< canonical registry name (a reload rebuilds it)
+  int budget = 0;
+  int doe = 0;         ///< DoE samples the tuner is built with
+  std::uint64_t seed = 0;
+  std::string cache_namespace;
+
+  /** The live tuner and its space; both null while spilled. */
   std::shared_ptr<SearchSpace> space;
   std::unique_ptr<AskTellTuner> tuner;
-  std::string cache_namespace;
-  std::string method;  ///< canonical registry name (for spill/reload)
-  int budget = 0;
-  int doe = 0;         ///< DoE samples the tuner was built with
+  /** tuner == nullptr, readable without the session mutex (size()). */
+  std::atomic<bool> spilled{false};
 
   /** The suggested-but-unobserved batch (at most one per session). */
   std::vector<Configuration> pending;
@@ -62,15 +70,10 @@ struct SessionManager::Session {
 
   /**
    * Per-session request latencies, served back over the stats frame.
-   * The live histograms die with the tuner on spill, so each spill
-   * folds their snapshot into the *_base totals (carried through the
-   * spill metadata); session_stats reports base merged with current,
-   * i.e. lifetime counts across every incarnation.
+   * The record outlives spills, so these are lifetime totals.
    */
   obs::Histogram suggest_hist;
   obs::Histogram observe_hist;
-  obs::HistogramSnapshot suggest_base;
-  obs::HistogramSnapshot observe_base;
 
   Clock::time_point last_touch = Clock::now();
 };
@@ -126,164 +129,107 @@ SessionManager::find(const std::string& name) const
 }
 
 std::shared_ptr<SessionManager::Session>
-SessionManager::find_or_reload(const std::string& name)
-{
-    for (;;) {
-        if (std::shared_ptr<Session> session = find(name))
-            return session;
-
-        SpilledSession meta;
-        {
-            MutexLock lock(spill_mutex_);
-            auto it = spilled_.find(name);
-            if (it == spilled_.end())
-                return nullptr;
-            meta = it->second;
-        }
-
-        // Rebuild the tuner outside all locks (registry + restore can
-        // be slow). This is the same resume path open_session(resume)
-        // takes, so a reloaded session continues bit-for-bit.
-        obs::ScopedTimer reload_timer(ServeMetrics::get().reload,
-                                      "serve.reload", "serve");
-        const Benchmark& bench = suite::find_benchmark(meta.benchmark);
-        auto session = std::make_shared<Session>();
-        session->name = name;
-        session->benchmark = &bench;
-        session->space = bench.make_space(SpaceVariant{});
-        session->budget = meta.budget;
-        session->doe = meta.doe;
-        session->method = meta.method;
-        MethodSpec spec;
-        spec.budget = meta.budget;
-        spec.doe_samples = meta.doe;
-        spec.seed = meta.seed;
-        session->tuner = MethodRegistry::global().make(meta.method,
-                                                       *session->space,
-                                                       spec);
-        session->cache_namespace =
-            EvalCache::namespace_key(bench.name, *session->space);
-        if (std::optional<CheckpointData> data =
-                load_checkpoint(checkpoint_path(name))) {
-            if (data->seed != session->tuner->run_seed())
-                throw std::runtime_error(
-                    "spilled checkpoint seed mismatch for session " +
-                    name);
-            if (!session->tuner->restore(data->history,
-                                         data->sampler_state)) {
-                throw std::runtime_error(
-                    "spilled checkpoint could not be restored for "
-                    "session " + name);
-            }
-        }
-        // A missing checkpoint file means the session was spilled
-        // before it ever observed anything: the fresh tuner IS the
-        // correct state.
-
-        Stripe& stripe = stripe_for(name);
-        {
-            MutexLock lock(stripe.mutex);
-            auto it = stripe.sessions.find(name);
-            if (it != stripe.sessions.end())
-                return it->second;  // a concurrent reload won the race
-            MutexLock spill_lock(spill_mutex_);
-            auto sit = spilled_.find(name);
-            if (sit == spilled_.end())
-                return nullptr;  // closed while we were rebuilding
-            if (sit->second.generation != meta.generation)
-                continue;  // reloaded AND re-spilled since we read the
-                           // checkpoint: ours is stale — rebuild from
-                           // the newer one
-            spilled_.erase(sit);
-            ++reload_count_;
-            session->suggest_base = meta.suggest_hist;
-            session->observe_base = meta.observe_hist;
-            stripe.sessions.emplace(name, session);
-        }
-        obs::log_info("serve", "session_reloaded",
-                      obs::LogFields().str("session", name).num(
-                          "evals", session->tuner->history().size()));
-        enforce_live_cap();
-        return session;
-    }
-}
-
-std::shared_ptr<SessionManager::Session>
 SessionManager::acquire(const std::string& name,
                         std::unique_lock<std::mutex>& lock_out)
 {
     for (;;) {
-        std::shared_ptr<Session> session = find_or_reload(name);
+        std::shared_ptr<Session> session = find(name);
         if (!session)
             return nullptr;
         std::unique_lock<std::mutex> lock(session->mutex);
-        // A concurrent cap enforcement may have spilled this session
-        // between the lookup and the lock. Its checkpoint then captures
-        // exactly this moment's state, so retrying the lookup reloads
-        // an identical tuner — mutating the orphaned object instead
-        // would record the request on state the registry no longer has.
-        if (find(name) == session) {
-            lock_out = std::move(lock);
-            return session;
+        // close_session or evict_idle may have removed the record while
+        // we waited for its mutex; the name may even belong to a session
+        // re-opened since. Retry the lookup instead of serving the
+        // request on state the registry no longer has.
+        if (find(name) != session)
+            continue;
+        bool reloaded = false;
+        if (!session->tuner) {
+            obs::ScopedTimer reload_timer(ServeMetrics::get().reload,
+                                          "serve.reload", "serve");
+            build_tuner(*session, /*resume=*/true);
+            session->spilled = false;
+            reload_count_ += 1;
+            reloaded = true;
+            obs::log_info("serve", "session_reloaded",
+                          obs::LogFields().str("session", name).num(
+                              "evals", session->tuner->history().size()));
         }
+        lock_out = std::move(lock);
+        if (reloaded)
+            enforce_live_cap(session.get());
+        return session;
     }
 }
 
 bool
-SessionManager::spill_one(const std::string& name)
+SessionManager::build_tuner(Session& session, bool resume) const
 {
-    std::shared_ptr<Session> session = find(name);
-    if (!session)
+    // Remote construction goes through the same MethodRegistry as local
+    // Study construction, so the two can never drift.
+    std::shared_ptr<SearchSpace> space =
+        session.benchmark->make_space(SpaceVariant{});
+    MethodSpec spec;
+    spec.budget = session.budget;
+    spec.doe_samples = session.doe;
+    spec.seed = session.seed;
+    std::unique_ptr<AskTellTuner> tuner =
+        MethodRegistry::global().make(session.method, *space, spec);
+
+    bool restored = false;
+    std::string ckpt = checkpoint_path(session.name);
+    if (resume && !ckpt.empty()) {
+        // A missing checkpoint means a session that never observed
+        // anything: the fresh tuner is its state. A present-but-unusable
+        // one is an error, never a silent cold start whose next observe
+        // would overwrite the file.
+        std::optional<CheckpointData> data = load_checkpoint(ckpt);
+        struct stat st;
+        if (!data && ::stat(ckpt.c_str(), &st) == 0)
+            throw std::runtime_error("checkpoint is unreadable: " + ckpt);
+        if (data) {
+            if (data->seed != tuner->run_seed())
+                throw std::runtime_error("checkpoint seed does not match "
+                                         "the requested session seed");
+            if (!tuner->restore(data->history, data->sampler_state))
+                throw std::runtime_error("checkpoint could not be restored");
+            restored = true;
+        }
+    }
+    session.cache_namespace =
+        EvalCache::namespace_key(session.benchmark->name, *space);
+    session.space = std::move(space);
+    session.tuner = std::move(tuner);
+    return restored;
+}
+
+bool
+SessionManager::spill_locked(Session& session)
+{
+    // Mid-batch sessions are not spillable (exactly the evict_idle rule),
+    // nor is a record close or eviction already removed: its checkpoint
+    // may have been superseded by a re-opened session of the same name.
+    if (!session.tuner || !session.pending.empty() ||
+        find(session.name).get() != &session) {
         return false;
-    std::unique_lock<std::mutex> guard(session->mutex, std::try_to_lock);
-    // Mid-request or mid-batch sessions are not spillable (exactly the
-    // evict_idle rule); and a spill without a durable checkpoint would
-    // silently discard history.
-    if (!guard.owns_lock() || !session->pending.empty())
-        return false;
+    }
     obs::ScopedTimer spill_timer(ServeMetrics::get().spill, "serve.spill",
                                  "serve");
-    // The session mutex already excludes concurrent mutation, so the
-    // checkpoint I/O runs without the stripe lock — the stripe's other
-    // sessions keep serving during the disk write. (Holding a session
-    // mutex while taking a stripe mutex is the established order:
-    // acquire() does the same; stripe holders only ever try_lock
-    // sessions, so the inverse never blocks.)
-    if (!save_checkpoint(checkpoint_path(name), *session->tuner))
+    // A spill without a durable checkpoint would silently discard history.
+    if (!save_checkpoint(checkpoint_path(session.name), *session.tuner))
         return false;
-    Stripe& stripe = stripe_for(name);
-    MutexLock lock(stripe.mutex);
-    auto it = stripe.sessions.find(name);
-    if (it == stripe.sessions.end() || it->second != session)
-        return false;  // closed while we were checkpointing
-    {
-        MutexLock spill_lock(spill_mutex_);
-        SpilledSession meta;
-        meta.benchmark = session->benchmark->name;
-        meta.method = session->method;
-        meta.budget = session->budget;
-        meta.doe = session->doe;
-        meta.seed = session->tuner->run_seed();
-        meta.generation = ++spill_generation_;
-        meta.spilled_at = Clock::now();
-        // Fold this incarnation's request latencies into the lifetime
-        // totals before the histograms die with the session object.
-        meta.suggest_hist = session->suggest_base;
-        meta.suggest_hist.merge(session->suggest_hist.snapshot());
-        meta.observe_hist = session->observe_base;
-        meta.observe_hist.merge(session->observe_hist.snapshot());
-        spilled_.emplace(name, std::move(meta));
-        ++spill_count_;
-    }
-    stripe.sessions.erase(it);
     obs::log_info("serve", "session_spilled",
-                  obs::LogFields().str("session", name).num(
-                      "evals", session->tuner->history().size()));
+                  obs::LogFields().str("session", session.name).num(
+                      "evals", session.tuner->history().size()));
+    session.tuner.reset();  // before the space it refers to
+    session.space.reset();
+    session.spilled = true;
+    spill_count_ += 1;
     return true;
 }
 
 void
-SessionManager::enforce_live_cap()
+SessionManager::enforce_live_cap(const Session* held)
 {
     if (opt_.max_live_sessions == 0 || opt_.checkpoint_dir.empty())
         return;
@@ -291,27 +237,34 @@ SessionManager::enforce_live_cap()
     if (live <= opt_.max_live_sessions)
         return;
 
-    // Snapshot (last_touch, name) of every spillable session, oldest
-    // first, then spill until the cap holds. Best-effort: candidates
-    // that became busy since the snapshot are skipped — the next open
-    // or reload enforces again.
-    std::vector<std::pair<Clock::time_point, std::string>> candidates;
+    // Snapshot every spillable session, oldest touch first, then spill
+    // until the cap holds. Best-effort: candidates that became busy since
+    // the snapshot are skipped — the next open or reload enforces again.
+    // The held session is skipped outright: try_lock on a mutex this
+    // thread owns is undefined behaviour.
+    std::vector<std::pair<Clock::time_point, std::shared_ptr<Session>>>
+        candidates;
     for (int s = 0; s < opt_.stripes; ++s) {
         Stripe& stripe = stripes_[s];
         MutexLock lock(stripe.mutex);
         for (auto& [name, session] : stripe.sessions) {
+            if (session.get() == held)
+                continue;
             std::unique_lock<std::mutex> guard(session->mutex,
                                                std::try_to_lock);
-            if (guard.owns_lock() && session->pending.empty())
-                candidates.emplace_back(session->last_touch, name);
+            if (guard.owns_lock() && session->tuner &&
+                session->pending.empty())
+                candidates.emplace_back(session->last_touch, session);
         }
     }
-    std::sort(candidates.begin(), candidates.end());
+    std::sort(candidates.begin(), candidates.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
     std::size_t excess = live - opt_.max_live_sessions;
-    for (const auto& [touch, name] : candidates) {
+    for (const auto& [touch, session] : candidates) {
         if (excess == 0)
             break;
-        if (spill_one(name))
+        std::unique_lock<std::mutex> guard(session->mutex, std::try_to_lock);
+        if (guard.owns_lock() && spill_locked(*session))
             --excess;
     }
 }
@@ -355,61 +308,16 @@ SessionManager::open_session(const Message& req)
     auto session = std::make_shared<Session>();
     session->name = req.session;
     session->benchmark = &bench;
-    session->space = bench.make_space(SpaceVariant{});
     session->budget = req.budget > 0 ? req.budget : bench.full_budget;
     session->doe = req.doe > 0 ? req.doe : bench.doe_samples;
-    // Remote construction goes through the same MethodRegistry as local
-    // Study construction, so the two can never drift; unknown names
-    // throw with the closest registered methods (caught into an error
-    // frame by handle()).
-    MethodSpec spec;
-    spec.budget = session->budget;
-    spec.doe_samples = session->doe;
-    spec.seed = req.seed;
-    session->tuner = MethodRegistry::global().make(
-        req.method, *session->space, spec);
+    session->seed = req.seed;
     // The canonical name, so a spilled session reloads the exact same
-    // method even if the client opened it through an alias.
-    session->method = *MethodRegistry::global().resolve(req.method);
-    session->cache_namespace =
-        EvalCache::namespace_key(bench.name, *session->space);
-
-    bool resumed = false;
-    std::string ckpt = checkpoint_path(req.session);
-    if (req.resume && !ckpt.empty()) {
-        // A missing checkpoint means a fresh session; a present-but-
-        // unusable one is an error rather than a silent cold start.
-        if (std::optional<CheckpointData> data = load_checkpoint(ckpt)) {
-            if (data->seed != session->tuner->run_seed())
-                return make_error(req.id,
-                                  "checkpoint seed does not match the "
-                                  "requested session seed");
-            if (!session->tuner->restore(data->history,
-                                         data->sampler_state)) {
-                return make_error(req.id,
-                                  "checkpoint could not be restored");
-            }
-            resumed = true;
-        }
-    }
-
-    Stripe& stripe = stripe_for(req.session);
-    {
-        MutexLock lock(stripe.mutex);
-        if (stripe.sessions.count(req.session))
-            return make_error(req.id,
-                              "session already open: " + req.session);
-        {
-            // A spilled session is still open — only disk-resident.
-            MutexLock spill_lock(spill_mutex_);
-            if (spilled_.count(req.session))
-                return make_error(req.id, "session already open "
-                                          "(spilled to disk): " +
-                                              req.session);
-        }
-        stripe.sessions.emplace(req.session, session);
-    }
-    enforce_live_cap();
+    // method even if the client opened it through an alias. An unknown
+    // name stays as given: build_tuner then throws with the closest
+    // registered methods (caught into an error frame by handle()).
+    session->method =
+        MethodRegistry::global().resolve(req.method).value_or(req.method);
+    bool resumed = build_tuner(*session, req.resume);
 
     Message reply;
     reply.type = MsgType::kOpened;
@@ -418,12 +326,25 @@ SessionManager::open_session(const Message& req)
     reply.evals = session->tuner->history().size();
     reply.budget = session->budget;
     reply.resumed = resumed;
+
+    Stripe& stripe = stripe_for(req.session);
+    {
+        MutexLock lock(stripe.mutex);
+        // A spilled session is still open — only disk-resident.
+        if (!stripe.sessions.emplace(req.session, session).second)
+            return make_error(req.id,
+                              "session already open: " + req.session);
+    }
+    enforce_live_cap(nullptr);
     return reply;
 }
 
 Message
 SessionManager::suggest(const Message& req)
 {
+    if (req.n > kMaxBatch)
+        return make_error(req.id, "suggest n exceeds the batch cap of " +
+                                      std::to_string(kMaxBatch));
     std::unique_lock<std::mutex> lock;
     std::shared_ptr<Session> session = acquire(req.session, lock);
     if (!session)
@@ -540,36 +461,27 @@ SessionManager::close_session(const Message& req)
     Stripe& stripe = stripe_for(req.session);
     std::shared_ptr<Session> session;
     {
-        // spill_one moves a name from the stripe map to the spill map
-        // with the stripe mutex held, so holding it here gives an
-        // atomic view of both.
         MutexLock lock(stripe.mutex);
         auto it = stripe.sessions.find(req.session);
-        if (it == stripe.sessions.end()) {
-            MutexLock spill_lock(spill_mutex_);
-            auto sit = spilled_.find(req.session);
-            if (sit == spilled_.end())
-                return make_error(req.id,
-                                  "no such session: " + req.session);
-            // Closing a spilled session: its per-observe checkpoint is
-            // already the durable resume point — just drop the metadata
-            // and report the checkpointed progress.
-            spilled_.erase(sit);
-            Message reply;
-            reply.type = MsgType::kOk;
-            reply.id = req.id;
-            if (std::optional<CheckpointData> data =
-                    load_checkpoint(checkpoint_path(req.session))) {
-                reply.evals = data->history.size();
-                reply.best = data->history.best_value;
-            }
-            return reply;
-        }
+        if (it == stripe.sessions.end())
+            return make_error(req.id, "no such session: " + req.session);
         session = it->second;
         stripe.sessions.erase(it);
     }
     std::lock_guard<std::mutex> lock(session->mutex);
+    Message reply;
+    reply.type = MsgType::kOk;
+    reply.id = req.id;
     std::string ckpt = checkpoint_path(session->name);
+    if (!session->tuner) {
+        // Spilled: the spill's checkpoint is already the durable resume
+        // point; report the progress it holds.
+        if (std::optional<CheckpointData> data = load_checkpoint(ckpt)) {
+            reply.evals = data->history.size();
+            reply.best = data->history.best_value;
+        }
+        return reply;
+    }
     if (!ckpt.empty() && session->pending.empty() &&
         !save_checkpoint(ckpt, *session->tuner)) {
         // The session is closed either way; surface the lost durability.
@@ -577,10 +489,6 @@ SessionManager::close_session(const Message& req)
                           "session closed but checkpoint write failed: " +
                               ckpt);
     }
-
-    Message reply;
-    reply.type = MsgType::kOk;
-    reply.id = req.id;
     reply.evals = session->tuner->history().size();
     reply.best = session->tuner->history().best_value;
     return reply;
@@ -610,16 +518,10 @@ SessionManager::session_stats(const Message& req)
         "session.budget", static_cast<double>(session->budget)));
     reply.stats.push_back(stat_gauge(
         "session.pending", static_cast<double>(session->pending.size())));
-    // Lifetime latencies: spill folds the live histograms into the
-    // *_base totals, so base + current spans every incarnation.
-    obs::HistogramSnapshot suggest_all = session->suggest_base;
-    suggest_all.merge(session->suggest_hist.snapshot());
-    obs::HistogramSnapshot observe_all = session->observe_base;
-    observe_all.merge(session->observe_hist.snapshot());
-    reply.stats.push_back(
-        stat_histogram("session.suggest_seconds", suggest_all));
-    reply.stats.push_back(
-        stat_histogram("session.observe_seconds", observe_all));
+    reply.stats.push_back(stat_histogram("session.suggest_seconds",
+                                         session->suggest_hist.snapshot()));
+    reply.stats.push_back(stat_histogram("session.observe_seconds",
+                                         session->observe_hist.snapshot()));
     return reply;
 }
 
@@ -674,7 +576,8 @@ SessionManager::size() const
     for (int s = 0; s < opt_.stripes; ++s) {
         Stripe& stripe = stripes_[s];
         MutexLock lock(stripe.mutex);
-        n += stripe.sessions.size();
+        for (const auto& [name, session] : stripe.sessions)
+            n += session->spilled ? 0 : 1;
     }
     return n;
 }
@@ -682,21 +585,25 @@ SessionManager::size() const
 std::size_t
 SessionManager::spilled_sessions() const
 {
-    MutexLock lock(spill_mutex_);
-    return spilled_.size();
+    std::size_t n = 0;
+    for (int s = 0; s < opt_.stripes; ++s) {
+        Stripe& stripe = stripes_[s];
+        MutexLock lock(stripe.mutex);
+        for (const auto& [name, session] : stripe.sessions)
+            n += session->spilled ? 1 : 0;
+    }
+    return n;
 }
 
 std::uint64_t
 SessionManager::spill_count() const
 {
-    MutexLock lock(spill_mutex_);
     return spill_count_;
 }
 
 std::uint64_t
 SessionManager::reload_count() const
 {
-    MutexLock lock(spill_mutex_);
     return reload_count_;
 }
 
@@ -707,21 +614,6 @@ SessionManager::evict_idle()
         return 0;
     auto now = Clock::now();
     std::size_t evicted = 0;
-    {
-        // Spilled sessions are idle by construction (no live tuner);
-        // once past the timeout they are closed outright — checkpoint
-        // stays on disk, clients re-open with resume=true.
-        MutexLock lock(spill_mutex_);
-        for (auto it = spilled_.begin(); it != spilled_.end();) {
-            if (std::chrono::duration<double>(now - it->second.spilled_at)
-                    .count() > opt_.idle_timeout_seconds) {
-                it = spilled_.erase(it);
-                ++evicted;
-            } else {
-                ++it;
-            }
-        }
-    }
     for (int s = 0; s < opt_.stripes; ++s) {
         Stripe& stripe = stripes_[s];
         MutexLock lock(stripe.mutex);
@@ -733,6 +625,8 @@ SessionManager::evict_idle()
             // fix and the right policy. A session with a suggested-but-
             // unobserved batch is mid-exchange (the client is off
             // evaluating), not idle, no matter how stale last_touch is.
+            // A spilled session is evicted like a live one: its
+            // checkpoint stays on disk for a resume=true re-open.
             std::shared_ptr<Session> session = it->second;
             std::unique_lock<std::mutex> guard(session->mutex,
                                                std::try_to_lock);
@@ -764,7 +658,7 @@ SessionManager::checkpoint_all()
         }
         for (auto& session : sessions) {
             std::lock_guard<std::mutex> lock(session->mutex);
-            if (session->pending.empty())
+            if (session->tuner && session->pending.empty())
                 save_checkpoint(checkpoint_path(session->name),
                                 *session->tuner);
         }

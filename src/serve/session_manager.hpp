@@ -33,16 +33,21 @@
  *
  * Bounded live registry: with max_live_sessions > 0 (and a checkpoint
  * directory), opening a session beyond the cap spills the least-
- * recently-touched idle session to disk — its tuner is dropped, its
- * checkpoint and a small metadata record remain — so a long-lived
- * multi-client server holds at most the cap's worth of tuner state in
- * memory. A spilled session is still "open" to the protocol: the next
- * request that names it transparently reloads the tuner from its
- * checkpoint (the same bit-for-bit resume path open_session(resume)
- * uses), possibly spilling another session to make room.
+ * recently-touched idle session to disk — its checkpoint is written and
+ * its tuner and search space are dropped, while its record stays in its
+ * stripe — so a long-lived multi-client server holds at most the cap's
+ * worth of tuner state in memory. A spilled session is still "open" to
+ * the protocol: the next request that names it rebuilds the tuner from
+ * its checkpoint under the session's own mutex (the same bit-for-bit
+ * resume path open_session(resume) uses), possibly spilling another
+ * session to make room.
+ *
+ * Lock order: a session's mutex may be held while taking a stripe's
+ * mutex (acquire's membership re-check, a spill's); stripe holders only
+ * ever try_lock sessions, so the inverse never blocks.
  */
 
-#include <chrono>
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -52,8 +57,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/thread_annotations.hpp"
-#include "obs/metrics.hpp"
 #include "serve/protocol.hpp"
 
 namespace baco {
@@ -142,11 +145,12 @@ class SessionManager {
   std::uint64_t reload_count() const;
 
   /**
-   * Evict sessions idle longer than idle_timeout_seconds. Sessions that
-   * are mid-request or have a suggested-but-unobserved batch are never
-   * evicted, and sessions are NOT re-checkpointed on eviction: the last
-   * per-observe checkpoint is already the correct resume point (see
-   * file comment). Returns the number evicted.
+   * Evict sessions, live or spilled, whose last request is older than
+   * idle_timeout_seconds. Sessions that are mid-request or have a
+   * suggested-but-unobserved batch are never evicted, and sessions are
+   * NOT re-checkpointed on eviction: the last per-observe checkpoint is
+   * already the correct resume point (see file comment). Returns the
+   * number evicted.
    */
   std::size_t evict_idle();
 
@@ -163,45 +167,31 @@ class SessionManager {
   struct Session;
   struct Stripe;
 
-  /** Everything needed to rebuild a spilled session's tuner. */
-  struct SpilledSession {
-    std::string benchmark;
-    std::string method;  ///< canonical MethodRegistry name
-    int budget = 0;
-    int doe = 0;
-    std::uint64_t seed = 0;
-    /**
-     * Stamped per spill event: a reloader that read the metadata (and
-     * the checkpoint) before an intervening reload + re-spill must not
-     * install its now-stale tuner — it re-reads when the generation
-     * under the insert lock differs.
-     */
-    std::uint64_t generation = 0;
-    std::chrono::steady_clock::time_point spilled_at;
-    /**
-     * Lifetime request-latency totals, folded in at every spill (the
-     * live per-session histograms reset with the tuner). A reload
-     * re-attaches these as the session's base, so stats on a reloaded
-     * session reports counts across all its incarnations.
-     */
-    obs::HistogramSnapshot suggest_hist;
-    obs::HistogramSnapshot observe_hist;
-  };
-
   Stripe& stripe_for(const std::string& name) const;
   std::shared_ptr<Session> find(const std::string& name) const;
-  /** find(), reloading a spilled session from its checkpoint on miss. */
-  std::shared_ptr<Session> find_or_reload(const std::string& name);
   /**
-   * find_or_reload + lock, re-verifying registry membership under the
-   * session mutex (a concurrent spill between lookup and lock retries
-   * the reload). lock_out holds the session mutex on success.
+   * find + lock, re-verifying registry membership under the session
+   * mutex (close or eviction may remove the record while a request waits
+   * for it) and rebuilding a spilled session's tuner from its checkpoint.
+   * lock_out holds the session mutex on success. @throws when the
+   * checkpoint of a spilled session cannot be restored.
    */
   std::shared_ptr<Session> acquire(const std::string& name,
                                    std::unique_lock<std::mutex>& lock_out);
-  /** Spill least-recently-touched idle sessions down to the cap. */
-  void enforce_live_cap();
-  bool spill_one(const std::string& name);
+  /**
+   * Build the session's space and tuner from its record; with resume,
+   * restore them from its checkpoint when one exists. Returns whether
+   * it restored. @throws when the checkpoint exists but cannot be read,
+   * carries another seed or does not restore.
+   */
+  bool build_tuner(Session& session, bool resume) const;
+  /**
+   * Spill least-recently-touched idle sessions down to the cap. `held`
+   * is a session whose mutex the caller owns; it is never considered.
+   */
+  void enforce_live_cap(const Session* held);
+  /** Checkpoint and drop the tuner of a locked, idle, registered session. */
+  bool spill_locked(Session& session);
 
   Message open_session(const Message& req);
   Message suggest(const Message& req);
@@ -212,16 +202,8 @@ class SessionManager {
 
   SessionManagerOptions opt_;
   std::unique_ptr<Stripe[]> stripes_;
-
-  // Lock order: a Session's mutex may be held while taking a Stripe's
-  // mutex and then spill_mutex_ (spill_one); stripe holders only ever
-  // try_lock sessions, so the inverse never blocks.
-  mutable Mutex spill_mutex_;
-  std::unordered_map<std::string, SpilledSession> spilled_
-      BACO_GUARDED_BY(spill_mutex_);
-  std::uint64_t spill_count_ BACO_GUARDED_BY(spill_mutex_) = 0;
-  std::uint64_t reload_count_ BACO_GUARDED_BY(spill_mutex_) = 0;
-  std::uint64_t spill_generation_ BACO_GUARDED_BY(spill_mutex_) = 0;
+  std::atomic<std::uint64_t> spill_count_{0};
+  std::atomic<std::uint64_t> reload_count_{0};
 };
 
 /** True when name is a valid session name ([A-Za-z0-9_.-]+, <= 128). */

@@ -192,40 +192,6 @@ TEST(MetricsRegistry_, SnapshotAndDelta)
     EXPECT_NE(json.find("\"lat.count\": 2"), std::string::npos);
 }
 
-TEST(HistogramMerge, FoldsLifetimeTotalsAcrossResets)
-{
-    // merge() is the inverse of delta_since: fold the pre-reset snapshot
-    // back in and the lifetime totals reappear — the mechanism session
-    // spill/reload uses to keep per-session stats monotonic.
-    Histogram first;
-    first.record(0.001);
-    first.record(0.010);
-    HistogramSnapshot base = first.snapshot();
-
-    Histogram second;  // the reloaded session's fresh histogram
-    second.record(0.100);
-
-    HistogramSnapshot lifetime = base;
-    lifetime.merge(second.snapshot());
-    EXPECT_EQ(lifetime.count, 3u);
-    EXPECT_NEAR(lifetime.sum, 0.111, 1e-9);
-    EXPECT_NEAR(lifetime.min, 0.001, 1e-12);
-    EXPECT_NEAR(lifetime.max, 0.100, 1e-12);
-    std::uint64_t bucket_total = 0;
-    for (std::uint64_t b : lifetime.buckets)
-        bucket_total += b;
-    EXPECT_EQ(bucket_total, 3u);
-
-    // Merging an empty snapshot is a no-op in both directions.
-    HistogramSnapshot empty;
-    lifetime.merge(empty);
-    EXPECT_EQ(lifetime.count, 3u);
-    HistogramSnapshot from_empty;
-    from_empty.merge(lifetime);
-    EXPECT_EQ(from_empty.count, 3u);
-    EXPECT_NEAR(from_empty.min, 0.001, 1e-12);
-}
-
 TEST(ScopedTimerTest, RecordsElapsedSecondsIntoHistogram)
 {
     Histogram h;

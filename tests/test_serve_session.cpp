@@ -9,6 +9,8 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include "api/study.hpp"
 #include "exec/checkpoint.hpp"
 #include "exec/eval_cache.hpp"
@@ -327,6 +329,180 @@ TEST(ServeSession, IdleSessionsAreEvicted)
               MsgType::kOpened);
     EXPECT_EQ(keep.evict_idle(), 0u);
     EXPECT_EQ(keep.size(), 1u);
+}
+
+/** The in-memory history of session `name` (reloading it when spilled). */
+TuningHistory
+session_history(SessionManager& sm, const std::string& name)
+{
+    TuningHistory out;
+    EXPECT_TRUE(sm.with_tuner(
+        name, [&out](AskTellTuner& tuner, const SessionInfo&,
+                     const std::string&) { out = tuner.history(); }));
+    return out;
+}
+
+TEST(ServeSession, ConcurrentSpillAndReloadMatchUncappedRuns)
+{
+    // Four clients drive their own BaCO session through a manager that
+    // keeps one session live: every reload races the spills the other
+    // clients trigger, and each history must still equal its uncapped
+    // run bit for bit.
+    const int kSessions = 4;
+    const int kBudget = 14;
+    const int kBatch = 2;
+    SessionManagerOptions opt;
+    opt.checkpoint_dir =
+        testing::TempDir() + "baco_spill_race_" + std::to_string(::getpid());
+    opt.max_live_sessions = 1;
+    SessionManager sm(opt);
+    auto name = [](int i) { return "race-" + std::to_string(i); };
+    auto seed = [](int i) { return static_cast<std::uint64_t>(90 + i); };
+    for (int i = 0; i < kSessions; ++i) {
+        Message opened =
+            sm.handle(open_request(name(i), "BaCO", kBudget, seed(i)));
+        ASSERT_EQ(opened.type, MsgType::kOpened) << opened.text;
+    }
+
+    std::vector<std::thread> clients;
+    clients.reserve(kSessions);
+    for (int i = 0; i < kSessions; ++i)
+        clients.emplace_back([&sm, &name, i] {
+            drive_session(sm, name(i), kBatch);
+        });
+    for (std::thread& t : clients)
+        t.join();
+
+    for (int i = 0; i < kSessions; ++i) {
+        TuningHistory reference = batched_reference(
+            suite::Method::kBaco, kBudget, seed(i), kBatch);
+        ASSERT_EQ(reference.size(), static_cast<std::size_t>(kBudget));
+        EXPECT_TRUE(histories_equal(session_history(sm, name(i)), reference))
+            << name(i);
+        std::remove(sm.checkpoint_path(name(i)).c_str());
+    }
+    EXPECT_GT(sm.spill_count(), 0u);
+    EXPECT_GT(sm.reload_count(), 0u);
+    ::rmdir(opt.checkpoint_dir.c_str());
+}
+
+TEST(ServeSession, IdleEvictionClosesSpilledSessions)
+{
+    SessionManagerOptions opt;
+    opt.checkpoint_dir =
+        testing::TempDir() + "baco_spill_idle_" + std::to_string(::getpid());
+    opt.max_live_sessions = 1;
+    opt.idle_timeout_seconds = 1e-9;  // everything is instantly idle
+    SessionManager sm(opt);
+    ASSERT_EQ(sm.handle(open_request("a", "Uniform", 8, 1)).type,
+              MsgType::kOpened);
+    drive_session(sm, "a", 2, /*max_evals=*/4);
+    TuningHistory before = session_history(sm, "a");
+    ASSERT_EQ(before.size(), 4u);
+    ASSERT_EQ(sm.handle(open_request("b", "Uniform", 8, 2)).type,
+              MsgType::kOpened);
+    ASSERT_EQ(sm.spilled_sessions(), 1u);  // the cap spilled "a"
+
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    EXPECT_EQ(sm.evict_idle(), 2u);
+    EXPECT_EQ(sm.spilled_sessions(), 0u);
+    EXPECT_EQ(sm.size(), 0u);
+
+    // Eviction keeps the checkpoint: resume restores the history.
+    Message reopened = sm.handle(open_request("a", "Uniform", 8, 1, true));
+    ASSERT_EQ(reopened.type, MsgType::kOpened) << reopened.text;
+    EXPECT_TRUE(reopened.resumed);
+    EXPECT_EQ(reopened.evals, 4u);
+    EXPECT_TRUE(histories_equal(session_history(sm, "a"), before));
+    std::remove(sm.checkpoint_path("a").c_str());
+    std::remove(sm.checkpoint_path("b").c_str());
+    ::rmdir(opt.checkpoint_dir.c_str());
+}
+
+TEST(ServeSession, CorruptCheckpointIsAnErrorNotAColdStart)
+{
+    // A present-but-unparseable checkpoint must not pass for "no
+    // checkpoint": resuming would cold-start the session and its next
+    // observe would overwrite the file.
+    SessionManagerOptions opt;
+    opt.checkpoint_dir = testing::TempDir();
+    SessionManager sm(opt);
+    const std::string name = "corrupt-ckpt";
+    const std::string garbage = "not a checkpoint\n{\"half\":";
+    {
+        std::FILE* f = std::fopen(sm.checkpoint_path(name).c_str(), "wb");
+        ASSERT_NE(f, nullptr);
+        std::fwrite(garbage.data(), 1, garbage.size(), f);
+        std::fclose(f);
+    }
+    Message reply =
+        sm.handle(open_request(name, "Uniform", 8, 3, /*resume=*/true));
+    EXPECT_EQ(reply.type, MsgType::kError) << msg_type_name(reply.type);
+    EXPECT_EQ(sm.size(), 0u);
+
+    std::string after;
+    {
+        std::FILE* f = std::fopen(sm.checkpoint_path(name).c_str(), "rb");
+        ASSERT_NE(f, nullptr);
+        char buf[256];
+        std::size_t got = 0;
+        while ((got = std::fread(buf, 1, sizeof buf, f)) > 0)
+            after.append(buf, got);
+        std::fclose(f);
+    }
+    EXPECT_EQ(after, garbage);
+    std::remove(sm.checkpoint_path(name).c_str());
+}
+
+TEST(ServeConnection, OversizedBatchRequestsAreRejected)
+{
+    // n is client-chosen and the tuner proposes n configurations under
+    // the session lock: past kMaxBatch both suggest and run frames are
+    // refused outright instead of proposing them.
+    SessionManager sm;
+    ServerContext ctx;
+    ctx.sessions = &sm;
+    ASSERT_EQ(sm.handle(open_request("big-n", "Uniform", 8, 4)).type,
+              MsgType::kOpened);
+
+    Message ask;
+    ask.type = MsgType::kSuggest;
+    ask.session = "big-n";
+    ask.n = kMaxBatch + 1;
+    EXPECT_EQ(sm.handle(ask).type, MsgType::kError);
+    ask.n = kMaxBatch;
+    Message configs = sm.handle(ask);
+    ASSERT_EQ(configs.type, MsgType::kConfigs) << configs.text;
+    EXPECT_EQ(configs.configs.size(), 8u);  // the budget caps the batch
+
+    auto [client, server] = loopback_pair();
+    std::thread srv(
+        [&, s = std::shared_ptr<Transport>(std::move(server))] {
+            serve_connection(*s, ctx);
+        });
+    Message hello;
+    hello.type = MsgType::kHello;
+    ASSERT_TRUE(client->send(encode(hello)));
+    std::string line;
+    ASSERT_EQ(client->recv(line, 2000), RecvStatus::kOk);
+
+    Message run;
+    run.type = MsgType::kRun;
+    run.id = 9;
+    run.session = "big-n";
+    run.n = 1 << 30;
+    run.budget = 1 << 30;
+    ASSERT_TRUE(client->send(encode(run)));
+    ASSERT_EQ(client->recv(line, 5000), RecvStatus::kOk);
+    Message reply;
+    ASSERT_TRUE(decode(line, reply));
+    EXPECT_EQ(reply.type, MsgType::kError);
+    EXPECT_EQ(reply.id, 9u);
+
+    Message bye;
+    bye.type = MsgType::kShutdown;
+    ASSERT_TRUE(client->send(encode(bye)));
+    srv.join();
 }
 
 TEST(ServeSession, CheckpointRequestRefusesMidBatch)

@@ -265,11 +265,11 @@ TEST(ServeSocket, SessionsSpillAndReloadAcrossConcurrentClients)
         one_round(c2, "s2", 52, got2);
     }
 
-    // Lifetime per-session stats: every spill folds the live histograms
-    // into the spilled metadata and a reload re-attaches them as the
-    // base, so the counts cover ALL incarnations — one entry per
-    // suggest/observe round despite the tuner having been rebuilt from
-    // its checkpoint in between.
+    // Lifetime per-session stats: a spill drops only the tuner, and the
+    // session record that owns the histograms survives it, so the counts
+    // cover ALL incarnations — one entry per suggest/observe round
+    // despite the tuner having been rebuilt from its checkpoint in
+    // between.
     Message s1_stats = c1.stats("s1");
     ASSERT_EQ(s1_stats.type, MsgType::kStatsReport) << s1_stats.text;
     const std::uint64_t rounds = budget / batch;

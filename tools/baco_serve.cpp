@@ -43,8 +43,8 @@
 // immediate dump at any time. Clients can also pull the same registry
 // over the wire with a stats frame (SessionClient::stats()).
 // --health-interval N appends one JSONL fleet-health line (per-worker
-// state/inflight/completed/EWMA latency from the coordinator's
-// WorkerHealth registry) every N seconds to --health-file. --trace FILE
+// state/inflight/completed/EWMA latency from Coordinator::health())
+// every N seconds to --health-file. --trace FILE
 // records spans for the whole serving lifetime and exports one merged
 // Chrome timeline on shutdown — server spans on the "server" track plus
 // every span buffer the workers shipped back over the wire, each on its
@@ -203,8 +203,9 @@ class MetricsPublisher {
 
 /**
  * Background fleet-health publisher: every `interval` seconds appends
- * one JSONL line with the coordinator's WorkerHealth registry (safe
- * mid-run: health() has its own mutex) to `path` ("" or "-" = stderr).
+ * one JSONL line with Coordinator::health() (safe mid-run: it takes the
+ * coordinator's scheduler mutex like any dispatch) to `path` ("" or
+ * "-" = stderr).
  */
 class HealthPublisher {
  public:
