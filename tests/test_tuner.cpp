@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "core/tuner.hpp"
+#include "suite/registry.hpp"
+#include "suite/runner.hpp"
 
 namespace baco {
 namespace {
@@ -315,6 +318,139 @@ TEST(Tuner, TracksTimingBreakdown)
     TuningHistory h = tuner.run(synthetic_eval);
     EXPECT_GE(h.tuner_seconds, 0.0);
     EXPECT_GE(h.eval_seconds, 0.0);
+}
+
+// ---- Pinned histories ----------------------------------------------------
+//
+// Fixed-seed runs whose full histories (every configuration and every
+// result) are folded into one FNV-1a signature. The acquisition scorer, the
+// surrogate's distance math and the feasibility forest must reproduce these
+// bit for bit: relative parity tests (policy vs policy, resume vs
+// uninterrupted) cannot see a rounding change that every path shares.
+
+std::uint64_t
+history_signature(const TuningHistory& h)
+{
+    std::uint64_t sig = 0xcbf29ce484222325ULL;
+    auto mix = [&sig](const void* data, std::size_t n) {
+        const unsigned char* p = static_cast<const unsigned char*>(data);
+        for (std::size_t i = 0; i < n; ++i) {
+            sig ^= p[i];
+            sig *= 0x100000001b3ULL;
+        }
+    };
+    auto mix_u64 = [&mix](std::uint64_t v) { mix(&v, sizeof v); };
+    auto mix_double = [&mix_u64](double v) {
+        std::uint64_t bits;
+        std::memcpy(&bits, &v, sizeof bits);
+        mix_u64(bits);
+    };
+    for (const Observation& o : h.observations) {
+        for (const ParamValue& v : o.config) {
+            mix_u64(v.index());
+            if (std::holds_alternative<double>(v)) {
+                mix_double(std::get<double>(v));
+            } else if (std::holds_alternative<std::int64_t>(v)) {
+                mix_u64(static_cast<std::uint64_t>(std::get<std::int64_t>(v)));
+            } else {
+                for (int x : std::get<Permutation>(v))
+                    mix_u64(static_cast<std::uint64_t>(x));
+            }
+        }
+        mix_double(o.value);
+        mix_u64(o.feasible ? 1 : 0);
+    }
+    return sig;
+}
+
+std::uint64_t
+registry_signature(const std::string& name, suite::Method m, int budget,
+                   std::uint64_t seed, const SpaceVariant& variant = {})
+{
+    TuningHistory h = suite::run_method(suite::find_benchmark(name), m,
+                                        budget, seed, variant);
+    EXPECT_EQ(h.size(), static_cast<std::size_t>(budget)) << name;
+    return history_signature(h);
+}
+
+TEST(TunerPinned, TacoPermutationSpearmanHistory)
+{
+    EXPECT_EQ(registry_signature("SpMM/scircuit", suite::Method::kBaco, 40, 3),
+              2064435890712201894ULL);
+}
+
+TEST(TunerPinned, TacoPermutationKendallHistory)
+{
+    SpaceVariant kendall;
+    kendall.permutation_metric = PermutationMetric::kKendall;
+    EXPECT_EQ(registry_signature("SpMM/scircuit", suite::Method::kBaco, 40, 3,
+                                 kendall),
+              8636738239931161190ULL);
+}
+
+TEST(TunerPinned, RiseHiddenConstraintHistory)
+{
+    // Scal_GPU fails some configurations at evaluation time, so the
+    // feasibility forest is active for most of the run.
+    const Benchmark& b = suite::find_benchmark("Scal_GPU");
+    TuningHistory h = suite::run_method(b, suite::Method::kBaco, 40, 5);
+    std::size_t infeasible = 0;
+    for (const Observation& o : h.observations)
+        infeasible += o.feasible ? 0 : 1;
+    EXPECT_GT(infeasible, 0u);
+    EXPECT_LT(infeasible, h.size());
+    EXPECT_EQ(history_signature(h), 2881619213307281209ULL);
+}
+
+TEST(TunerPinned, HpvmHistory)
+{
+    EXPECT_EQ(registry_signature("BFS", suite::Method::kBaco, 20, 7), 12638974265120105477ULL);
+}
+
+TEST(TunerPinned, LogScaledRealSpaceHistory)
+{
+    SearchSpace s;
+    s.add_real("lr", 1e-4, 1.0, /*log_scale=*/true);
+    s.add_real("mix", 0.0, 1.0);
+    s.add_integer("width", 1, 512, /*log_scale=*/true);
+    s.add_categorical("mode", {"a", "b", "c"});
+    BlackBoxFn eval = [](const Configuration& c, RngEngine&) {
+        double lr = std::log10(as_real(c[0]));
+        double mix = as_real(c[1]);
+        double w = std::log2(static_cast<double>(as_int(c[2])));
+        double v = 1.0 + (lr + 2.5) * (lr + 2.5) + (mix - 0.3) * (mix - 0.3) +
+                   0.1 * (w - 6.0) * (w - 6.0) + 0.4 * as_int(c[3]);
+        return EvalResult{v, true};
+    };
+    TunerOptions opt;
+    opt.budget = 30;
+    opt.doe_samples = 8;
+    opt.seed = 13;
+    EXPECT_EQ(history_signature(Tuner(s, opt).run(eval)), 4984750483906996223ULL);
+}
+
+TEST(TunerPinned, RandomForestSurrogateHistory)
+{
+    // The Fig. 8 ablation: BaCO's loop with the forest as value model.
+    std::shared_ptr<SearchSpace> s =
+        suite::find_benchmark("MM_CPU").make_space(SpaceVariant{});
+    TunerOptions opt;
+    opt.budget = 30;
+    opt.doe_samples = 10;
+    opt.seed = 17;
+    opt.surrogate = TunerOptions::Surrogate::kRandomForest;
+    EXPECT_EQ(history_signature(Tuner(*s, opt).run(
+                  suite::find_benchmark("MM_CPU").evaluate)),
+              7171003826305351970ULL);
+}
+
+TEST(TunerPinned, YtoptHistories)
+{
+    EXPECT_EQ(registry_signature("SpMM/scircuit", suite::Method::kYtoptGp, 30,
+                                 3),
+              12884999919384639079ULL);
+    EXPECT_EQ(registry_signature("Scal_GPU", suite::Method::kYtopt, 30, 5),
+              13793448396580512279ULL);
 }
 
 }  // namespace
