@@ -151,24 +151,28 @@ YtoptLike::suggest(int n)
         // Acquisition over one random candidate pool (skopt-style): the
         // remaining batch slots take the top-k distinct candidates.
         int want = n - static_cast<int>(out.size());
-        std::vector<std::pair<double, Configuration>> scored;
+        std::vector<Configuration> pool;
         for (int i = 0; i < opt_.pool_size; ++i) {
             Configuration c = sample_candidate();
-            if (st.seen.count(config_hash(c)))
-                continue;
-            double mean, var;
-            if (use_gp) {
-                GpPrediction p = st.gp.predict(c);
-                mean = p.mean;
-                var = p.var;
-            } else {
-                ForestPrediction p =
-                    st.forest.predict_with_variance(space.encode(c));
-                mean = p.mean;
-                var = p.var;
-            }
-            scored.emplace_back(expected_improvement(mean, var, best),
-                                std::move(c));
+            if (!st.seen.count(config_hash(c)))
+                pool.push_back(std::move(c));
+        }
+        std::vector<std::pair<double, Configuration>> scored;
+        scored.reserve(pool.size());
+        if (use_gp) {
+            std::vector<GpPrediction> p;
+            st.gp.predict_batch(pool, p);
+            for (std::size_t i = 0; i < pool.size(); ++i)
+                scored.emplace_back(
+                    expected_improvement(p[i].mean, p[i].var, best),
+                    std::move(pool[i]));
+        } else {
+            std::vector<ForestPrediction> p =
+                st.forest.predict_rows(space.encode_rows(pool));
+            for (std::size_t i = 0; i < pool.size(); ++i)
+                scored.emplace_back(
+                    expected_improvement(p[i].mean, p[i].var, best),
+                    std::move(pool[i]));
         }
         std::stable_sort(scored.begin(), scored.end(),
                          [](const auto& a, const auto& b) {

@@ -47,7 +47,17 @@ FeasibilityModel::probability(const Configuration& c) const
 {
     if (!active_)
         return 1.0;
-    return forest_.predict(space_->encode(c));
+    return probabilities(space_->encode_rows({c}))[0];
+}
+
+std::vector<double>
+FeasibilityModel::probabilities(const Matrix& rows) const
+{
+    std::vector<ForestPrediction> p = forest_.predict_rows(rows);
+    std::vector<double> out(p.size());
+    for (std::size_t i = 0; i < p.size(); ++i)
+        out[i] = p[i].mean;
+    return out;
 }
 
 }  // namespace baco

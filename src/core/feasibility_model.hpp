@@ -34,8 +34,14 @@ class FeasibilityModel {
   /** True when the classifier has something to discriminate. */
   bool active() const { return active_; }
 
-  /** P(feasible); 1.0 while inactive. */
+  /** P(feasible); 1.0 while inactive. A batch of one. */
   double probability(const Configuration& c) const;
+
+  /**
+   * P(feasible) for every row of pre-encoded features (rows from
+   * SearchSpace::encode_rows). Requires active().
+   */
+  std::vector<double> probabilities(const Matrix& rows) const;
 
  private:
   const SearchSpace* space_;

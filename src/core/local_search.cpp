@@ -24,28 +24,28 @@ local_search_maximize(const SearchSpace& space, const ChainOfTrees* cot,
                       const ScoreFn& score, RngEngine& rng,
                       const LocalSearchOptions& opt)
 {
-    // ---- Candidate pool. ----
+    // ---- Candidate pool: sampled first, then scored as one batch. ----
+    std::vector<Configuration> candidates;
+    candidates.reserve(static_cast<std::size_t>(opt.random_samples));
+    for (int i = 0; i < opt.random_samples; ++i) {
+        if (cot) {
+            candidates.push_back(cot->sample(rng, opt.cot_uniform_leaves));
+        } else if (auto s = space.sample_feasible(rng, 200)) {
+            candidates.push_back(std::move(*s));
+        }
+    }
+    if (candidates.empty())
+        return std::nullopt;
+    std::vector<double> values = score(candidates);
+
     struct Scored {
       Configuration config;
       double value;
     };
     std::vector<Scored> pool;
-    pool.reserve(static_cast<std::size_t>(opt.random_samples));
-    for (int i = 0; i < opt.random_samples; ++i) {
-        Configuration c;
-        if (cot) {
-            c = cot->sample(rng, opt.cot_uniform_leaves);
-        } else {
-            auto s = space.sample_feasible(rng, 200);
-            if (!s)
-                continue;
-            c = std::move(*s);
-        }
-        double v = score(c);
-        pool.push_back(Scored{std::move(c), v});
-    }
-    if (pool.empty())
-        return std::nullopt;
+    pool.reserve(candidates.size());
+    for (std::size_t i = 0; i < candidates.size(); ++i)
+        pool.push_back(Scored{std::move(candidates[i]), values[i]});
 
     std::size_t n_starts = std::min<std::size_t>(
         static_cast<std::size_t>(opt.starts), pool.size());
@@ -78,15 +78,20 @@ local_search_maximize(const SearchSpace& space, const ChainOfTrees* cot,
                     }
                 }
             }
+            moves.erase(std::remove_if(moves.begin(), moves.end(),
+                                       [&](const Configuration& c) {
+                                           return !is_feasible(space, cot, c);
+                                       }),
+                        moves.end());
             double best_move_score = cur_score;
             std::optional<Configuration> best_move;
-            for (Configuration& c : moves) {
-                if (!is_feasible(space, cot, c))
-                    continue;
-                double v = score(c);
-                if (v > best_move_score) {
-                    best_move_score = v;
-                    best_move = std::move(c);
+            if (!moves.empty()) {
+                std::vector<double> scores = score(moves);
+                for (std::size_t i = 0; i < moves.size(); ++i) {
+                    if (scores[i] > best_move_score) {
+                        best_move_score = scores[i];
+                        best_move = std::move(moves[i]);
+                    }
                 }
             }
             if (!best_move)

@@ -32,8 +32,14 @@ struct LocalSearchOptions {
   bool hill_climb = true;
 };
 
-/** Score to maximize. Return -inf/negative to reject a candidate. */
-using ScoreFn = std::function<double(const Configuration&)>;
+/**
+ * Batch scorer: one score to maximize per candidate, in order. Return
+ * -inf/negative to reject a candidate. The search hands it the whole pool
+ * at once and then each climb step's feasible moves; it must draw nothing
+ * from the search's RNG.
+ */
+using ScoreFn =
+    std::function<std::vector<double>(const std::vector<Configuration>&)>;
 
 /**
  * Maximize score over the feasible region. Returns nullopt when no feasible

@@ -166,6 +166,18 @@ RealParameter::distance(const ParamValue& a, const ParamValue& b) const
 }
 
 double
+RealParameter::coord(const ParamValue& v) const
+{
+    return transform(as_real(v));
+}
+
+CoordMetric
+RealParameter::coord_metric() const
+{
+    return {CoordMetric::Kind::kScalar, span_, 0};
+}
+
+double
 RealParameter::numeric_value(const ParamValue& v) const
 {
     return as_real(v);
@@ -243,6 +255,18 @@ double
 IntegerParameter::distance(const ParamValue& a, const ParamValue& b) const
 {
     return std::abs(transform(as_int(a)) - transform(as_int(b))) / span_;
+}
+
+double
+IntegerParameter::coord(const ParamValue& v) const
+{
+    return transform(as_int(v));
+}
+
+CoordMetric
+IntegerParameter::coord_metric() const
+{
+    return {CoordMetric::Kind::kScalar, span_, 0};
 }
 
 double
@@ -326,6 +350,18 @@ OrdinalParameter::distance(const ParamValue& a, const ParamValue& b) const
 }
 
 double
+OrdinalParameter::coord(const ParamValue& v) const
+{
+    return transform(as_int(v));
+}
+
+CoordMetric
+OrdinalParameter::coord_metric() const
+{
+    return {CoordMetric::Kind::kScalar, span_, 0};
+}
+
+double
 OrdinalParameter::numeric_value(const ParamValue& v) const
 {
     return static_cast<double>(as_int(v));
@@ -386,6 +422,18 @@ double
 CategoricalParameter::distance(const ParamValue& a, const ParamValue& b) const
 {
     return (as_int(a) == as_int(b)) ? 0.0 : 1.0;
+}
+
+double
+CategoricalParameter::coord(const ParamValue& v) const
+{
+    return static_cast<double>(as_int(v));
+}
+
+CoordMetric
+CategoricalParameter::coord_metric() const
+{
+    return {CoordMetric::Kind::kMatch, 1.0, 0};
 }
 
 double
@@ -528,6 +576,45 @@ double
 PermutationParameter::distance(const ParamValue& a, const ParamValue& b) const
 {
     return permutation_distance(as_permutation(a), as_permutation(b), metric_);
+}
+
+double
+PermutationParameter::coord(const ParamValue& v) const
+{
+    const Permutation& p = as_permutation(v);
+    std::uint32_t code = 0;
+    if (metric_ == PermutationMetric::kKendall) {
+        int bit = 0;
+        for (std::size_t i = 0; i < p.size(); ++i)
+            for (std::size_t j = i + 1; j < p.size(); ++j, ++bit)
+                code |= static_cast<std::uint32_t>(p[i] < p[j]) << bit;
+    } else {
+        for (std::size_t i = 0; i < p.size(); ++i)
+            code |= static_cast<std::uint32_t>(p[i]) << (3 * i);
+    }
+    return static_cast<double>(code);
+}
+
+CoordMetric
+PermutationParameter::coord_metric() const
+{
+    // permutation_distance() is 0 for every pair when m <= 1.
+    if (m_ <= 1)
+        return {CoordMetric::Kind::kMatch, 1.0, m_};
+    switch (metric_) {
+      case PermutationMetric::kKendall:
+        return {CoordMetric::Kind::kKendall,
+                static_cast<double>(max_kendall(m_)), m_};
+      case PermutationMetric::kSpearman:
+        return {CoordMetric::Kind::kSpearman,
+                static_cast<double>(max_spearman(m_)), m_};
+      case PermutationMetric::kHamming:
+        return {CoordMetric::Kind::kHamming,
+                static_cast<double>(max_hamming(m_)), m_};
+      case PermutationMetric::kNaive:
+        break;
+    }
+    return {CoordMetric::Kind::kMatch, 1.0, m_};
 }
 
 double

@@ -9,8 +9,15 @@
  * discrete), propose neighbours for local search, measure a normalized
  * distance between two of its values (feeding the GP kernel), and encode a
  * value as numeric features (feeding the random forests).
+ *
+ * The GP does not call distance() in its hot loops. Each value instead gets
+ * one distance coordinate (coord()), computed once per training point and
+ * per candidate, and coord_distance() rebuilds distance() from two
+ * coordinates with a few integer or floating-point operations, bit for bit.
  */
 
+#include <cmath>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -29,6 +36,82 @@ enum class ParamKind {
   kCategorical,
   kPermutation,
 };
+
+/**
+ * How one dimension turns two distance coordinates (Parameter::coord) into
+ * its normalized distance. Plain data, so a caller looping over many pairs
+ * branches on the kind, not through a virtual call per pair.
+ *
+ * Permutation coordinates pack element i of the permutation into bits
+ * 3i..3i+2 (m <= 8, so 24 bits), except under Kendall, where bit p is set
+ * when the p-th pair (i < j, in row order) is in ascending order (28 bits).
+ * Both are exact in a double.
+ */
+struct CoordMetric {
+  enum class Kind {
+    kScalar,    ///< |a - b| / scale; a, b transformed values
+    kMatch,     ///< 0 when a == b, else 1; categorical index, naive code
+    kSpearman,  ///< sum of squared field differences / scale
+    kKendall,   ///< popcount(a ^ b) / scale: discordant pairs
+    kHamming,   ///< number of differing fields / scale
+  };
+  Kind kind = Kind::kScalar;
+  double scale = 1.0;  ///< the normalizing divisor
+  int fields = 0;      ///< permutation length m (packed fields)
+};
+
+/** coord_distance() for a metric of kind K (lets a loop over many pairs
+ *  pick its kind once). */
+template <CoordMetric::Kind K>
+inline double
+coord_distance_as(const CoordMetric& m, double a, double b)
+{
+    using Kind = CoordMetric::Kind;
+    if constexpr (K == Kind::kScalar) {
+        return std::abs(a - b) / m.scale;
+    } else if constexpr (K == Kind::kMatch) {
+        return a == b ? 0.0 : 1.0;
+    } else {
+        std::uint32_t ua = static_cast<std::uint32_t>(a);
+        std::uint32_t ub = static_cast<std::uint32_t>(b);
+        if constexpr (K == Kind::kKendall) {
+            return static_cast<double>(__builtin_popcount(ua ^ ub)) / m.scale;
+        } else if constexpr (K == Kind::kHamming) {
+            // Fold each 3-bit field of a ^ b onto its low bit, then count.
+            std::uint32_t x = ua ^ ub;
+            x = (x | (x >> 1) | (x >> 2)) & 0x249249u;
+            return static_cast<double>(__builtin_popcount(x)) / m.scale;
+        } else {
+            long long acc = 0;
+            for (int f = 0; f < m.fields; ++f, ua >>= 3, ub >>= 3) {
+                long long d = static_cast<long long>(ua & 7u) -
+                              static_cast<long long>(ub & 7u);
+                acc += d * d;
+            }
+            return static_cast<double>(acc) / m.scale;
+        }
+    }
+}
+
+/** distance(a, b) from the coordinates of a and b (same bits). */
+inline double
+coord_distance(const CoordMetric& m, double a, double b)
+{
+    using Kind = CoordMetric::Kind;
+    switch (m.kind) {
+      case Kind::kScalar:
+        return coord_distance_as<Kind::kScalar>(m, a, b);
+      case Kind::kMatch:
+        return coord_distance_as<Kind::kMatch>(m, a, b);
+      case Kind::kSpearman:
+        return coord_distance_as<Kind::kSpearman>(m, a, b);
+      case Kind::kKendall:
+        return coord_distance_as<Kind::kKendall>(m, a, b);
+      case Kind::kHamming:
+        return coord_distance_as<Kind::kHamming>(m, a, b);
+    }
+    return 0.0;
+}
 
 /** Abstract base for all parameter types. */
 class Parameter {
@@ -68,6 +151,15 @@ class Parameter {
 
   /** Normalized distance in [0, 1] between two values (GP kernel input). */
   virtual double distance(const ParamValue& a, const ParamValue& b) const = 0;
+
+  /**
+   * Distance coordinate of v: coord_distance(coord_metric(), coord(a),
+   * coord(b)) == distance(a, b), bit for bit.
+   */
+  virtual double coord(const ParamValue& v) const = 0;
+
+  /** How coordinates of this parameter combine into its distance. */
+  virtual CoordMetric coord_metric() const = 0;
 
   /**
    * Numeric value used by the constraint-expression evaluator. Ordered
@@ -111,6 +203,8 @@ class RealParameter : public Parameter {
   std::vector<ParamValue> neighbors(const ParamValue& v,
                                     RngEngine& rng) const override;
   double distance(const ParamValue& a, const ParamValue& b) const override;
+  double coord(const ParamValue& v) const override;
+  CoordMetric coord_metric() const override;
   double numeric_value(const ParamValue& v) const override;
   std::size_t num_features() const override { return 1; }
   void encode(const ParamValue& v, std::vector<double>& out) const override;
@@ -139,6 +233,8 @@ class IntegerParameter : public Parameter {
   std::vector<ParamValue> neighbors(const ParamValue& v,
                                     RngEngine& rng) const override;
   double distance(const ParamValue& a, const ParamValue& b) const override;
+  double coord(const ParamValue& v) const override;
+  CoordMetric coord_metric() const override;
   double numeric_value(const ParamValue& v) const override;
   std::size_t num_features() const override { return 1; }
   void encode(const ParamValue& v, std::vector<double>& out) const override;
@@ -170,6 +266,8 @@ class OrdinalParameter : public Parameter {
   std::vector<ParamValue> neighbors(const ParamValue& v,
                                     RngEngine& rng) const override;
   double distance(const ParamValue& a, const ParamValue& b) const override;
+  double coord(const ParamValue& v) const override;
+  CoordMetric coord_metric() const override;
   double numeric_value(const ParamValue& v) const override;
   std::size_t num_features() const override { return 1; }
   void encode(const ParamValue& v, std::vector<double>& out) const override;
@@ -198,6 +296,8 @@ class CategoricalParameter : public Parameter {
   std::vector<ParamValue> neighbors(const ParamValue& v,
                                     RngEngine& rng) const override;
   double distance(const ParamValue& a, const ParamValue& b) const override;
+  double coord(const ParamValue& v) const override;
+  CoordMetric coord_metric() const override;
   double numeric_value(const ParamValue& v) const override;
   std::size_t num_features() const override { return categories_.size(); }
   void encode(const ParamValue& v, std::vector<double>& out) const override;
@@ -232,6 +332,8 @@ class PermutationParameter : public Parameter {
   std::vector<ParamValue> neighbors(const ParamValue& v,
                                     RngEngine& rng) const override;
   double distance(const ParamValue& a, const ParamValue& b) const override;
+  double coord(const ParamValue& v) const override;
+  CoordMetric coord_metric() const override;
   double numeric_value(const ParamValue& v) const override;
   std::size_t num_features() const override { return static_cast<std::size_t>(m_); }
   void encode(const ParamValue& v, std::vector<double>& out) const override;

@@ -17,6 +17,7 @@
 #include "core/constraint.hpp"
 #include "core/parameter.hpp"
 #include "core/types.hpp"
+#include "linalg/matrix.hpp"
 #include "linalg/rng.hpp"
 
 namespace baco {
@@ -86,6 +87,8 @@ class SearchSpace {
 
   /** Numeric feature encoding of a configuration (random-forest input). */
   std::vector<double> encode(const Configuration& c) const;
+  /** encode() of every configuration, one row each (num_features() wide). */
+  Matrix encode_rows(const std::vector<Configuration>& cs) const;
   std::size_t num_features() const;
 
   /** Normalized per-dimension distance (GP kernel input). */

@@ -191,31 +191,51 @@ Tuner::propose(State& st, const std::vector<Configuration>& fantasy_configs,
 
     double best = *std::min_element(ys.begin(), ys.end());
 
-    ScoreFn score = [&](const Configuration& c) -> double {
-        if (st.seen.count(config_hash(c)))
-            return -2.0;  // worse than any admissible candidate
-        double mean, var;
+    // Candidates are scored in batches: the surrogate and the feasibility
+    // forest see the whole block; the seen check and the user prior stay
+    // per candidate.
+    bool use_pf = opt_.use_feasibility_model && st.feasibility.active();
+    ScoreFn score = [&](const std::vector<Configuration>& cs) {
+        std::size_t m = cs.size();
+        Matrix rows;
+        if (!use_gp || use_pf)
+            rows = space.encode_rows(cs);
+        std::vector<double> mean(m), var(m);
         if (use_gp) {
-            GpPrediction p = st.gp.predict(c);
-            mean = p.mean;
-            var = p.var;
+            std::vector<GpPrediction> p;
+            st.gp.predict_batch(cs, p);
+            for (std::size_t i = 0; i < m; ++i) {
+                mean[i] = p[i].mean;
+                var[i] = p[i].var;
+            }
         } else {
-            ForestPrediction p =
-                st.rf_surrogate.predict_with_variance(space.encode(c));
-            mean = p.mean;
-            var = p.var;
+            std::vector<ForestPrediction> p =
+                st.rf_surrogate.predict_rows(rows);
+            for (std::size_t i = 0; i < m; ++i) {
+                mean[i] = p[i].mean;
+                var[i] = p[i].var;
+            }
         }
-        double pf = opt_.use_feasibility_model ? st.feasibility.probability(c)
-                                               : 1.0;
-        double s = constrained_ei(mean, var, best, pf, eps_f);
-        if (s > 0.0 && opt_.user_prior) {
-            double exponent =
-                opt_.prior_strength /
-                static_cast<double>(std::max<std::size_t>(
-                    1, history_.size() + fantasy_configs.size()));
-            s *= std::pow(std::max(opt_.user_prior(c), 1e-9), exponent);
+        std::vector<double> pf = use_pf ? st.feasibility.probabilities(rows)
+                                        : std::vector<double>(m, 1.0);
+        std::vector<double> out(m);
+        for (std::size_t i = 0; i < m; ++i) {
+            if (st.seen.count(config_hash(cs[i]))) {
+                out[i] = -2.0;  // worse than any admissible candidate
+                continue;
+            }
+            double s = constrained_ei(mean[i], var[i], best, pf[i], eps_f);
+            if (s > 0.0 && opt_.user_prior) {
+                double exponent =
+                    opt_.prior_strength /
+                    static_cast<double>(std::max<std::size_t>(
+                        1, history_.size() + fantasy_configs.size()));
+                s *= std::pow(std::max(opt_.user_prior(cs[i]), 1e-9),
+                              exponent);
+            }
+            out[i] = s;
         }
-        return s;
+        return out;
     };
 
     LocalSearchOptions ls = opt_.ls;

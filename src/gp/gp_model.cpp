@@ -24,6 +24,43 @@ box_penalty(double theta, double* grad)
     return excess * excess;
 }
 
+/**
+ * r2[i] += (distance(a, col[i]) / ls)^2 for i < n under a metric of kind
+ * K: one dimension's contribution to a row of squared scaled distances.
+ */
+template <CoordMetric::Kind K>
+void
+add_scaled_squares(const CoordMetric& metric, double a, const double* col,
+                   std::size_t n, double ls, double* r2)
+{
+    for (std::size_t i = 0; i < n; ++i) {
+        double v = coord_distance_as<K>(metric, a, col[i]) / ls;
+        r2[i] += v * v;
+    }
+}
+
+using AddScaledSquares = void (*)(const CoordMetric&, double, const double*,
+                                  std::size_t, double, double*);
+
+AddScaledSquares
+add_scaled_squares_for(CoordMetric::Kind kind)
+{
+    using Kind = CoordMetric::Kind;
+    switch (kind) {
+      case Kind::kScalar:
+        return add_scaled_squares<Kind::kScalar>;
+      case Kind::kMatch:
+        return add_scaled_squares<Kind::kMatch>;
+      case Kind::kSpearman:
+        return add_scaled_squares<Kind::kSpearman>;
+      case Kind::kKendall:
+        return add_scaled_squares<Kind::kKendall>;
+      case Kind::kHamming:
+        break;
+    }
+    return add_scaled_squares<Kind::kHamming>;
+}
+
 }  // namespace
 
 GpModel::GpModel(const SearchSpace& space, GpOptions opt)
@@ -47,27 +84,8 @@ GpModel::fit(const std::vector<Configuration>& xs,
 {
     if (xs.size() != ys.size() || xs.size() < 2)
         throw std::runtime_error("GpModel::fit needs >= 2 matching points");
-
-    xs_ = xs;
-    standardizer_.fit(ys);
-    ys_std_.resize(ys.size());
-    for (std::size_t i = 0; i < ys.size(); ++i)
-        ys_std_[i] = standardizer_.transform(ys[i]);
-
-    // Pairwise per-dimension distances.
-    std::size_t n = xs_.size();
+    set_training_set(xs, ys);
     std::size_t d = space_->num_params();
-    tensor_.n = n;
-    tensor_.dists.assign(d, Matrix(n, n));
-    for (std::size_t k = 0; k < d; ++k) {
-        for (std::size_t i = 0; i < n; ++i) {
-            for (std::size_t j = i + 1; j < n; ++j) {
-                double v = space_->dim_distance(k, xs_[i], xs_[j]);
-                tensor_.dists[k](i, j) = v;
-                tensor_.dists[k](j, i) = v;
-            }
-        }
-    }
 
     // ---- Hyperparameter optimization (multistart MAP). ----
     auto objective_fn = [this](const std::vector<double>& theta,
@@ -139,30 +157,52 @@ GpModel::fit_with_hyperparams(const std::vector<Configuration>& xs,
     if (xs.size() != ys.size() || xs.size() < 2)
         throw std::runtime_error(
             "GpModel::fit_with_hyperparams needs >= 2 matching points");
+    set_training_set(xs, ys);
+    hp_ = hp;
+    warm_start_ = hp_;
+    refresh_posterior();
+}
 
-    xs_ = xs;
+void
+GpModel::set_training_set(const std::vector<Configuration>& xs,
+                          const std::vector<double>& ys)
+{
     standardizer_.fit(ys);
     ys_std_.resize(ys.size());
     for (std::size_t i = 0; i < ys.size(); ++i)
         ys_std_[i] = standardizer_.transform(ys[i]);
 
-    std::size_t n = xs_.size();
     std::size_t d = space_->num_params();
+    metrics_.resize(d);
+    for (std::size_t k = 0; k < d; ++k)
+        metrics_[k] = space_->param(k).coord_metric();
+    coords_ = coords_of(xs);
+
+    // Pairwise per-dimension distances.
+    std::size_t n = xs.size();
     tensor_.n = n;
     tensor_.dists.assign(d, Matrix(n, n));
     for (std::size_t k = 0; k < d; ++k) {
         for (std::size_t i = 0; i < n; ++i) {
             for (std::size_t j = i + 1; j < n; ++j) {
-                double v = space_->dim_distance(k, xs_[i], xs_[j]);
+                double v = coord_distance(metrics_[k], coords_(i, k),
+                                          coords_(j, k));
                 tensor_.dists[k](i, j) = v;
                 tensor_.dists[k](j, i) = v;
             }
         }
     }
+}
 
-    hp_ = hp;
-    warm_start_ = hp_;
-    refresh_posterior();
+Matrix
+GpModel::coords_of(const std::vector<Configuration>& xs) const
+{
+    std::size_t d = space_->num_params();
+    Matrix c(xs.size(), d);
+    for (std::size_t i = 0; i < xs.size(); ++i)
+        for (std::size_t k = 0; k < d; ++k)
+            c(i, k) = space_->param(k).coord(xs[i][k]);
+    return c;
 }
 
 void
@@ -203,22 +243,28 @@ GpModel::refresh_posterior()
     fitted_ = true;
 }
 
-std::vector<double>
-GpModel::cross_covariances(const Configuration& x) const
+Matrix
+GpModel::cross_kernel(const Matrix& cand) const
 {
-    std::size_t n = xs_.size();
-    std::size_t d = space_->num_params();
+    std::size_t m = cand.rows();
+    std::size_t n = size();
     double s2 = std::exp(hp_.log_outputscale);
-    std::vector<double> kvec(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        double r2 = 0.0;
-        for (std::size_t k = 0; k < d; ++k) {
-            double v = space_->dim_distance(k, x, xs_[i]) / lengthscales_[k];
-            r2 += v * v;
-        }
-        kvec[i] = s2 * matern52(std::sqrt(r2));
+    // r^2 accumulates one dimension at a time, in dimension order, so every
+    // entry sums exactly the terms (and in the order) of a per-pair loop.
+    Matrix k(m, n, 0.0);
+    std::vector<double> col(n);
+    for (std::size_t dim = 0; dim < metrics_.size(); ++dim) {
+        const CoordMetric& metric = metrics_[dim];
+        AddScaledSquares add = add_scaled_squares_for(metric.kind);
+        for (std::size_t i = 0; i < n; ++i)
+            col[i] = coords_(i, dim);
+        for (std::size_t c = 0; c < m; ++c)
+            add(metric, cand(c, dim), col.data(), n, lengthscales_[dim],
+                k.row(c));
     }
-    return kvec;
+    for (double& v : k.data())
+        v = s2 * matern52(std::sqrt(v));
+    return k;
 }
 
 bool
@@ -228,7 +274,8 @@ GpModel::extend(const Configuration& x, double y)
         return false;
     double s2 = std::exp(hp_.log_outputscale);
     double noise = std::exp(hp_.log_noise);
-    std::vector<double> cross = cross_covariances(x);
+    Matrix coord = coords_of({x});
+    std::vector<double> cross = std::move(cross_kernel(coord).data());
     double diag = s2 + noise + diag_shift_;
 
     // Appending a near-duplicate of an existing point can make the bordered
@@ -239,7 +286,10 @@ GpModel::extend(const Configuration& x, double y)
     double extra = 1e-8 * std::max(diag, 1.0);
     for (int attempt = 0; attempt < 6; ++attempt) {
         if (chol_->append(cross, diag)) {
-            xs_.push_back(x);
+            std::size_t n = size();
+            coords_.resize_preserving(n + 1, coords_.cols());
+            std::copy(coord.data().begin(), coord.data().end(),
+                      coords_.row(n));
             ys_std_.push_back(standardizer_.transform(y));
             alpha_ = chol_->solve(ys_std_);
             bool finite = true;
@@ -248,8 +298,8 @@ GpModel::extend(const Configuration& x, double y)
             if (finite)
                 return true;
             // Roll back the bad row and report failure.
-            chol_->shrink(chol_->size() - 1);
-            xs_.pop_back();
+            chol_->shrink(n);
+            coords_.resize_preserving(n, coords_.cols());
             ys_std_.pop_back();
             alpha_ = chol_->solve(ys_std_);
             return false;
@@ -263,11 +313,11 @@ GpModel::extend(const Configuration& x, double y)
 void
 GpModel::truncate(std::size_t k)
 {
-    if (!fitted_ || k >= xs_.size())
+    if (!fitted_ || k >= size())
         return;
     if (k < 2)
         throw std::runtime_error("GpModel::truncate below 2 points");
-    xs_.resize(k);
+    coords_.resize_preserving(k, coords_.cols());
     ys_std_.resize(k);
     chol_->shrink(k);
     alpha_ = chol_->solve(ys_std_);
@@ -352,13 +402,29 @@ GpModel::nll(const std::vector<double>& theta, std::vector<double>* grad) const
     for (std::size_t k = 0; k < d; ++k)
         ls[k] = std::exp(hpc.log_lengthscales[k]);
 
-    // Precompute scaled distances r_ij once.
-    Matrix r(n, n);
+    // Per pair, once: the Matern value at the scaled distance r_ij and the
+    // lengthscale-derivative prefactor g_ij = s2 * factor(r_ij), both from
+    // one exp (upper triangle only).
+    // r_ij^2 sums (d_k / l_k)^2 in dimension order, one distance matrix
+    // at a time (the order a per-pair loop over k would add them in).
+    Matrix kr(n, n, 0.0);
+    for (std::size_t k = 0; k < d; ++k) {
+        const Matrix& dist = tensor_.dists[k];
+        for (std::size_t i = 0; i < n; ++i) {
+            const double* di = dist.row(i);
+            double* ri = kr.row(i);
+            for (std::size_t j = i + 1; j < n; ++j) {
+                double v = di[j] / ls[k];
+                ri[j] += v * v;
+            }
+        }
+    }
+    Matrix g(n, n);
     for (std::size_t i = 0; i < n; ++i)
         for (std::size_t j = i + 1; j < n; ++j) {
-            double v = scaled_distance(tensor_, i, j, ls);
-            r(i, j) = v;
-            r(j, i) = v;
+            double factor;
+            kr(i, j) = matern52_with_dlog_factor(std::sqrt(kr(i, j)), &factor);
+            g(i, j) = s2 * factor;
         }
 
     // Lengthscale gradients.
@@ -370,8 +436,7 @@ GpModel::nll(const std::vector<double>& theta, std::vector<double>* grad) const
                 double dd = tensor_.dists[k](i, j);
                 if (dd == 0.0)
                     continue;
-                double dk = s2 * matern52_dlog_lengthscale_factor(r(i, j)) *
-                            (dd * dd) / l2;
+                double dk = g(i, j) * (dd * dd) / l2;
                 acc += 2.0 * a(i, j) * dk;  // symmetric off-diagonal pair
             }
         }
@@ -384,7 +449,7 @@ GpModel::nll(const std::vector<double>& theta, std::vector<double>* grad) const
         for (std::size_t i = 0; i < n; ++i) {
             acc += a(i, i) * s2;
             for (std::size_t j = i + 1; j < n; ++j)
-                acc += 2.0 * a(i, j) * s2 * matern52(r(i, j));
+                acc += 2.0 * a(i, j) * s2 * kr(i, j);
         }
         (*grad)[d] += -0.5 * acc;
     }
@@ -416,20 +481,30 @@ GpModel::objective_with_gradient(const GpHyperparams& hp,
 GpPrediction
 GpModel::predict(const Configuration& x) const
 {
+    std::vector<GpPrediction> out;
+    predict_batch({x}, out);
+    return out[0];
+}
+
+void
+GpModel::predict_batch(const std::vector<Configuration>& xs,
+                       std::vector<GpPrediction>& out) const
+{
     if (!fitted_)
         throw std::runtime_error("GpModel::predict called before fit");
 
     double s2 = std::exp(hp_.log_outputscale);
-    std::vector<double> kvec = cross_covariances(x);
-    double mean_std = dot(kvec, alpha_);
-    std::vector<double> v = chol_->solve_lower(kvec);
-    double var_std = s2 - dot(v, v);
-    var_std = std::max(var_std, 1e-12);
-
-    GpPrediction p;
-    p.mean = standardizer_.inverse(mean_std);
-    p.var = standardizer_.inverse_variance(var_std);
-    return p;
+    std::size_t n = size();
+    Matrix k = cross_kernel(coords_of(xs));
+    out.resize(xs.size());
+    for (std::size_t c = 0; c < xs.size(); ++c)
+        out[c].mean = standardizer_.inverse(dot_n(k.row(c), alpha_.data(), n));
+    chol_->solve_lower_rows(k);  // row c becomes v = L^{-1} k_c
+    for (std::size_t c = 0; c < xs.size(); ++c) {
+        double var_std = s2 - dot_n(k.row(c), k.row(c), n);
+        var_std = std::max(var_std, 1e-12);
+        out[c].var = standardizer_.inverse_variance(var_std);
+    }
 }
 
 }  // namespace baco

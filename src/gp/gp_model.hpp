@@ -116,8 +116,19 @@ class GpModel {
   /** Whether fit() has succeeded at least once. */
   bool fitted() const { return fitted_; }
 
-  /** Posterior latent mean/variance at x (requires a prior fit()). */
+  /** Posterior latent mean/variance at x (requires a prior fit()); a
+   *  batch of one. */
   GpPrediction predict(const Configuration& x) const;
+
+  /**
+   * Posterior latent mean/variance at every candidate (requires a prior
+   * fit()); out is resized to xs.size(). Builds the candidates'
+   * distance coordinates once, the m x n cross-kernel block from them and
+   * the training coordinates, and solves all m rows against the factor in
+   * one blocked forward substitution.
+   */
+  void predict_batch(const std::vector<Configuration>& xs,
+                     std::vector<GpPrediction>& out) const;
 
   /** Negative log posterior (NLL + priors) at hp, for tests/diagnostics. */
   double objective(const GpHyperparams& hp) const;
@@ -131,7 +142,7 @@ class GpModel {
   const GpHyperparams& hyperparams() const { return hp_; }
 
   /** Number of training points. */
-  std::size_t size() const { return xs_.size(); }
+  std::size_t size() const { return ys_std_.size(); }
 
  private:
   /** NLL + negative log priors and its gradient at theta (log space). */
@@ -140,17 +151,29 @@ class GpModel {
 
   GpHyperparams default_hyperparams() const;
 
-  /** Rebuild tensor_, chol_, alpha_ (and diag_shift_) from xs_/ys_std_
-   *  under the current hp_; shared tail of fit paths. */
+  /** Standardize ys and rebuild coords_ and the distance tensor from xs;
+   *  the shared head of the fit paths. */
+  void set_training_set(const std::vector<Configuration>& xs,
+                        const std::vector<double>& ys);
+
+  /** Rebuild chol_, alpha_ (and diag_shift_) from tensor_/ys_std_ under
+   *  the current hp_; shared tail of fit paths. */
   void refresh_posterior();
 
-  /** Kernel cross-covariances k(x, xs_[i]) under the fitted scales. */
-  std::vector<double> cross_covariances(const Configuration& x) const;
+  /** Distance coordinates of xs, one row per configuration. */
+  Matrix coords_of(const std::vector<Configuration>& xs) const;
+
+  /** Kernel cross-covariances k(x_c, x_i) under the fitted scales between
+   *  every candidate row c of cand (coordinates) and training point i. */
+  Matrix cross_kernel(const Matrix& cand) const;
 
   const SearchSpace* space_;
   GpOptions opt_;
 
-  std::vector<Configuration> xs_;
+  /** Per-dimension coordinate metrics, taken at the last fit. */
+  std::vector<CoordMetric> metrics_;
+  /** Training-point distance coordinates, n x d. */
+  Matrix coords_;
   std::vector<double> ys_std_;
   Standardizer standardizer_;
   DistanceTensor tensor_;

@@ -43,15 +43,12 @@ matern52_dlog_lengthscale_factor(double r)
 }
 
 double
-scaled_distance(const DistanceTensor& t, std::size_t i, std::size_t j,
-                const std::vector<double>& ls)
+matern52_with_dlog_factor(double r, double* factor)
 {
-    double r2 = 0.0;
-    for (std::size_t d = 0; d < t.dists.size(); ++d) {
-        double v = t.dists[d](i, j) / ls[d];
-        r2 += v * v;
-    }
-    return std::sqrt(r2);
+    double a = kSqrt5 * r;
+    double e = std::exp(-a);
+    *factor = (5.0 / 3.0) * (1.0 + kSqrt5 * r) * e;
+    return (1.0 + a + 5.0 * r * r / 3.0) * e;
 }
 
 Matrix

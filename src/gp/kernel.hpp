@@ -46,6 +46,12 @@ double matern52(double r);
 double matern52_dlog_lengthscale_factor(double r);
 
 /**
+ * matern52(r), with matern52_dlog_lengthscale_factor(r) stored in *factor:
+ * both from one exp, each bit-identical to its own function.
+ */
+double matern52_with_dlog_factor(double r, double* factor);
+
+/**
  * Per-dimension pairwise distances for a training set. dists[d] is the
  * symmetric N x N matrix of normalized distances along dimension d.
  */
@@ -55,13 +61,6 @@ struct DistanceTensor {
 
   std::size_t dims() const { return dists.size(); }
 };
-
-/**
- * Scaled distance r between rows i, j of the tensor under lengthscales.
- * ls[d] are *linear* (not log) lengthscales.
- */
-double scaled_distance(const DistanceTensor& t, std::size_t i, std::size_t j,
-                       const std::vector<double>& ls);
 
 /**
  * Kernel matrix K = s2 * matern52(R) + noise * I over the training tensor.

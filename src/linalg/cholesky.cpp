@@ -1,5 +1,6 @@
 #include "linalg/cholesky.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -18,37 +19,89 @@ constexpr double kMinPivotRatio = 1e-12;
 std::vector<double>
 CholeskyFactor::solve_lower(const std::vector<double>& b) const
 {
+    assert(b.size() == l_.rows());
+    Matrix rhs(1, b.size());
+    std::copy(b.begin(), b.end(), rhs.data().begin());
+    solve_lower_rows(rhs);
+    return std::move(rhs.data());
+}
+
+void
+CholeskyFactor::solve_lower_rows(Matrix& rhs) const
+{
     std::size_t n = l_.rows();
-    assert(b.size() == n);
-    std::vector<double> z(n, 0.0);
+    assert(rhs.cols() == n);
     // Row-oriented forward substitution: row i of L is contiguous, so the
-    // inner reduction is a streaming dot product.
-    for (std::size_t i = 0; i < n; ++i) {
-        const double* li = l_.row(i);
-        z[i] = (b[i] - dot_n(li, z.data(), i)) / li[i];
+    // inner reduction is a streaming dot product. z[i] only reads z[0..i),
+    // so each right-hand side is overwritten by its solution in place.
+    std::size_t r = 0;
+    for (; r + 4 <= rhs.rows(); r += 4) {
+        double* z[4] = {rhs.row(r), rhs.row(r + 1), rhs.row(r + 2),
+                        rhs.row(r + 3)};
+        double acc[4];
+        for (std::size_t i = 0; i < n; ++i) {
+            const double* li = l_.row(i);
+            dot_n4(li, z, i, acc);
+            for (int k = 0; k < 4; ++k)
+                z[k][i] = (z[k][i] - acc[k]) / li[i];
+        }
     }
-    return z;
+    for (; r < rhs.rows(); ++r) {
+        double* z = rhs.row(r);
+        for (std::size_t i = 0; i < n; ++i) {
+            const double* li = l_.row(i);
+            z[i] = (z[i] - dot_n(li, z, i)) / li[i];
+        }
+    }
 }
 
 std::vector<double>
 CholeskyFactor::solve_upper(const std::vector<double>& b) const
 {
+    assert(b.size() == l_.rows());
+    Matrix rhs(1, b.size());
+    std::copy(b.begin(), b.end(), rhs.data().begin());
+    solve_upper_rows(rhs);
+    return std::move(rhs.data());
+}
+
+void
+CholeskyFactor::solve_upper_rows(Matrix& rhs) const
+{
     std::size_t n = l_.rows();
-    assert(b.size() == n);
+    assert(rhs.cols() == n);
     // Backward substitution against L^T, restructured into saxpy form:
     // column i of L^T is row i of L, so once z[i] is known we subtract
     // z[i] * L(i, 0..i-1) from the running right-hand side. Every access
     // streams a contiguous row instead of striding down a column.
-    std::vector<double> z = b;
-    for (std::size_t ii = n; ii > 0; --ii) {
-        std::size_t i = ii - 1;
-        const double* li = l_.row(i);
-        double zi = z[i] / li[i];
-        z[i] = zi;
-        for (std::size_t j = 0; j < i; ++j)
-            z[j] -= li[j] * zi;
+    std::size_t r = 0;
+    for (; r + 4 <= rhs.rows(); r += 4) {
+        double* z[4] = {rhs.row(r), rhs.row(r + 1), rhs.row(r + 2),
+                        rhs.row(r + 3)};
+        for (std::size_t ii = n; ii > 0; --ii) {
+            std::size_t i = ii - 1;
+            const double* li = l_.row(i);
+            double zi[4];
+            for (int k = 0; k < 4; ++k) {
+                zi[k] = z[k][i] / li[i];
+                z[k][i] = zi[k];
+            }
+            for (int k = 0; k < 4; ++k)
+                for (std::size_t j = 0; j < i; ++j)
+                    z[k][j] -= li[j] * zi[k];
+        }
     }
-    return z;
+    for (; r < rhs.rows(); ++r) {
+        double* z = rhs.row(r);
+        for (std::size_t ii = n; ii > 0; --ii) {
+            std::size_t i = ii - 1;
+            const double* li = l_.row(i);
+            double zi = z[i] / li[i];
+            z[i] = zi;
+            for (std::size_t j = 0; j < i; ++j)
+                z[j] -= li[j] * zi;
+        }
+    }
 }
 
 std::vector<double>
@@ -60,18 +113,12 @@ CholeskyFactor::solve(const std::vector<double>& b) const
 Matrix
 CholeskyFactor::solve_matrix(const Matrix& b) const
 {
-    std::size_t n = l_.rows();
-    assert(b.rows() == n);
-    Matrix x(n, b.cols());
-    std::vector<double> col(n);
-    for (std::size_t j = 0; j < b.cols(); ++j) {
-        for (std::size_t i = 0; i < n; ++i)
-            col[i] = b(i, j);
-        std::vector<double> sol = solve(col);
-        for (std::size_t i = 0; i < n; ++i)
-            x(i, j) = sol[i];
-    }
-    return x;
+    assert(b.rows() == l_.rows());
+    // Columns of b become rows, so both substitutions run blocked.
+    Matrix x = b.transposed();
+    solve_lower_rows(x);
+    solve_upper_rows(x);
+    return x.transposed();
 }
 
 double

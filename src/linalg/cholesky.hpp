@@ -39,13 +39,25 @@ class CholeskyFactor {
   /** Solve L z = b (forward substitution). */
   std::vector<double> solve_lower(const std::vector<double>& b) const;
 
+  /**
+   * Solve L z = b for every row b of rhs, in place (rhs is m x n). Rows
+   * are solved four at a time against each row of L; every row's result
+   * is bit-identical to solve_lower() on that row alone.
+   */
+  void solve_lower_rows(Matrix& rhs) const;
+
   /** Solve L^T z = b (backward substitution). */
   std::vector<double> solve_upper(const std::vector<double>& b) const;
+
+  /** Solve L^T z = b for every row b of rhs, in place, four rows at a
+   *  time; each row's result is bit-identical to solve_upper() alone. */
+  void solve_upper_rows(Matrix& rhs) const;
 
   /** Solve A x = b where A = L L^T. */
   std::vector<double> solve(const std::vector<double>& b) const;
 
-  /** Solve A X = B column-by-column; returns X. */
+  /** Solve A X = B; returns X. Each column's result is bit-identical to
+   *  solve() on that column alone. */
   Matrix solve_matrix(const Matrix& b) const;
 
   /** log |A| = 2 * sum_i log L_ii. */

@@ -1,6 +1,7 @@
 #include "linalg/matrix.hpp"
 
 #include <cmath>
+#include <cstring>
 
 namespace baco {
 
@@ -101,6 +102,44 @@ dot_n(const double* a, const double* b, std::size_t n)
     for (; i < n; ++i)
         s0 += a[i] * b[i];
     return (s0 + s1) + (s2 + s3);
+}
+
+namespace {
+
+/** Two doubles in one register; lane-wise ops round like scalar ones. */
+typedef double Pair __attribute__((vector_size(16)));
+
+Pair
+load_pair(const double* p)
+{
+    Pair v;
+    std::memcpy(&v, p, sizeof v);
+    return v;
+}
+
+}  // namespace
+
+void
+dot_n4(const double* a, const double* const* b, std::size_t n, double* out)
+{
+    // lo[r] holds dot_n's accumulators (s0, s1) for right-hand side r and
+    // hi[r] its (s2, s3): the same four partial sums, eight chains in all.
+    Pair lo[4] = {}, hi[4] = {};
+    std::size_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+        Pair alo = load_pair(a + i);
+        Pair ahi = load_pair(a + i + 2);
+        for (int r = 0; r < 4; ++r) {
+            lo[r] += alo * load_pair(b[r] + i);
+            hi[r] += ahi * load_pair(b[r] + i + 2);
+        }
+    }
+    for (int r = 0; r < 4; ++r) {
+        double s0 = lo[r][0];
+        for (std::size_t t = i; t < n; ++t)
+            s0 += a[t] * b[r][t];
+        out[r] = (s0 + lo[r][1]) + (hi[r][0] + hi[r][1]);
+    }
 }
 
 std::vector<double>

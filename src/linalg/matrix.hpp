@@ -86,6 +86,15 @@ double dot(const std::vector<double>& a, const std::vector<double>& b);
  *  solves; unrolled 4-wide so the compiler emits vector FMAs). */
 double dot_n(const double* a, const double* b, std::size_t n);
 
+/**
+ * out[r] = dot_n(a, b[r], n) for four ranges b[0..3], bit for bit: each
+ * right-hand side keeps dot_n's accumulation order, while a[] is read once
+ * per step and the four reductions run as independent chains (the kernel
+ * of the blocked triangular solve).
+ */
+void dot_n4(const double* a, const double* const* b, std::size_t n,
+            double* out);
+
 /** Elementwise a + s*b. */
 std::vector<double> axpy(const std::vector<double>& a, double s,
                          const std::vector<double>& b);

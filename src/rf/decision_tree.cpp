@@ -157,7 +157,7 @@ DecisionTree::grow(const std::vector<std::vector<double>>& x,
 }
 
 double
-DecisionTree::predict(const std::vector<double>& x) const
+DecisionTree::predict(const double* x) const
 {
     assert(!nodes_.empty());
     std::size_t cur = 0;

@@ -45,7 +45,11 @@ class DecisionTree {
            const std::vector<std::size_t>& sample_idx, RngEngine& rng);
 
   /** Predicted value: mean target (regression) or P(class 1). */
-  double predict(const std::vector<double>& x) const;
+  double predict(const std::vector<double>& x) const { return predict(x.data()); }
+
+  /** predict() over a raw feature row (at least as many entries as the
+   *  training rows had). */
+  double predict(const double* x) const;
 
   /** Number of nodes, for tests. */
   std::size_t num_nodes() const { return nodes_.size(); }

@@ -1,5 +1,6 @@
 #include "rf/random_forest.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <numeric>
@@ -52,28 +53,37 @@ RandomForest::fit(const std::vector<std::vector<double>>& x,
 double
 RandomForest::predict(const std::vector<double>& x) const
 {
-    assert(!trees_.empty());
-    double acc = 0.0;
-    for (const DecisionTree& t : trees_)
-        acc += t.predict(x);
-    return acc / static_cast<double>(trees_.size());
+    return predict_with_variance(x).mean;
 }
 
 ForestPrediction
 RandomForest::predict_with_variance(const std::vector<double>& x) const
 {
+    Matrix row(1, x.size());
+    std::copy(x.begin(), x.end(), row.row(0));
+    return predict_rows(row)[0];
+}
+
+std::vector<ForestPrediction>
+RandomForest::predict_rows(const Matrix& x) const
+{
     assert(!trees_.empty());
-    double sum = 0.0, sum_sq = 0.0;
+    std::size_t m = x.rows();
+    std::vector<double> sum(m, 0.0), sum_sq(m, 0.0);
     for (const DecisionTree& t : trees_) {
-        double v = t.predict(x);
-        sum += v;
-        sum_sq += v * v;
+        for (std::size_t r = 0; r < m; ++r) {
+            double v = t.predict(x.row(r));
+            sum[r] += v;
+            sum_sq[r] += v * v;
+        }
     }
     double n = static_cast<double>(trees_.size());
-    ForestPrediction p;
-    p.mean = sum / n;
-    p.var = std::max(0.0, sum_sq / n - p.mean * p.mean);
-    return p;
+    std::vector<ForestPrediction> out(m);
+    for (std::size_t r = 0; r < m; ++r) {
+        out[r].mean = sum[r] / n;
+        out[r].var = std::max(0.0, sum_sq[r] / n - out[r].mean * out[r].mean);
+    }
+    return out;
 }
 
 }  // namespace baco

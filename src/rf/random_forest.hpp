@@ -14,6 +14,7 @@
 
 #include <vector>
 
+#include "linalg/matrix.hpp"
 #include "rf/decision_tree.hpp"
 
 namespace baco {
@@ -47,11 +48,20 @@ class RandomForest {
   void fit(const std::vector<std::vector<double>>& x,
            const std::vector<double>& y, RngEngine& rng);
 
-  /** Mean prediction: regression mean or P(class 1). */
+  /** Mean prediction: regression mean or P(class 1); a batch of one. */
   double predict(const std::vector<double>& x) const;
 
-  /** Mean and across-tree variance (surrogate uncertainty). */
+  /** Mean and across-tree variance (surrogate uncertainty); a batch of
+   *  one. */
   ForestPrediction predict_with_variance(const std::vector<double>& x) const;
+
+  /**
+   * predict_with_variance() for every row of x (one feature row per
+   * candidate). Trees run in the outer loop, so each tree is walked for
+   * the whole block while it is hot; every row still sums its trees in
+   * tree order.
+   */
+  std::vector<ForestPrediction> predict_rows(const Matrix& x) const;
 
   bool fitted() const { return !trees_.empty(); }
   std::size_t num_trees() const { return trees_.size(); }

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "gp/gp_model.hpp"
 
@@ -385,6 +387,223 @@ TEST(GpModel, NaiveFitStillWorks)
     std::vector<double> ys{0.0, 1.0, 0.0};
     gp.fit(xs, ys, rng);
     EXPECT_NEAR(gp.predict(cfg1(0.5)).mean, 1.0, 0.2);
+}
+
+// ---- Batch prediction against the scalar posterior -----------------------
+
+/**
+ * The scalar posterior the batch path replaced, rebuilt from public
+ * pieces: per-pair SearchSpace::dim_distance, one cross-covariance vector
+ * and one forward substitution per candidate. It mirrors GpModel's fit,
+ * extend and truncate for a factor without diagonal shift.
+ */
+class ScalarPosterior {
+ public:
+  ScalarPosterior(const SearchSpace& s, const GpHyperparams& hp,
+                  const std::vector<Configuration>& xs,
+                  const std::vector<double>& ys)
+      : s_(&s), xs_(xs), s2_(std::exp(hp.log_outputscale)),
+        noise_(std::exp(hp.log_noise))
+  {
+      for (double l : hp.log_lengthscales)
+          ls_.push_back(std::exp(l));
+      standardizer_.fit(ys);
+      for (double y : ys)
+          ys_std_.push_back(standardizer_.transform(y));
+      DistanceTensor t;
+      t.n = xs.size();
+      t.dists.assign(s.num_params(), Matrix(t.n, t.n));
+      for (std::size_t k = 0; k < s.num_params(); ++k)
+          for (std::size_t i = 0; i < t.n; ++i)
+              for (std::size_t j = i + 1; j < t.n; ++j) {
+                  double v = s.dim_distance(k, xs[i], xs[j]);
+                  t.dists[k](i, j) = v;
+                  t.dists[k](j, i) = v;
+              }
+      chol_ = cholesky(kernel_matrix(t, hp));
+      EXPECT_TRUE(chol_.has_value());
+      alpha_ = chol_->solve(ys_std_);
+  }
+
+  bool extend(const Configuration& x, double y)
+  {
+      double diag = s2_ + noise_ + 0.0;
+      double extra = 1e-8 * std::max(diag, 1.0);
+      for (int attempt = 0; attempt < 6; ++attempt) {
+          if (chol_->append(cross(x), diag)) {
+              xs_.push_back(x);
+              ys_std_.push_back(standardizer_.transform(y));
+              alpha_ = chol_->solve(ys_std_);
+              return true;
+          }
+          diag += extra;
+          extra *= 10.0;
+      }
+      return false;
+  }
+
+  void truncate(std::size_t k)
+  {
+      xs_.resize(k);
+      ys_std_.resize(k);
+      chol_->shrink(k);
+      alpha_ = chol_->solve(ys_std_);
+  }
+
+  GpPrediction predict(const Configuration& x) const
+  {
+      std::vector<double> kvec = cross(x);
+      const Matrix& l = chol_->lower();
+      std::vector<double> v(kvec.size(), 0.0);
+      for (std::size_t i = 0; i < v.size(); ++i)
+          v[i] = (kvec[i] - dot_n(l.row(i), v.data(), i)) / l(i, i);
+      GpPrediction p;
+      p.mean = standardizer_.inverse(dot(kvec, alpha_));
+      p.var = standardizer_.inverse_variance(
+          std::max(s2_ - dot(v, v), 1e-12));
+      return p;
+  }
+
+ private:
+  std::vector<double> cross(const Configuration& x) const
+  {
+      std::vector<double> kvec(xs_.size());
+      for (std::size_t i = 0; i < xs_.size(); ++i) {
+          double r2 = 0.0;
+          for (std::size_t k = 0; k < s_->num_params(); ++k) {
+              double v = s_->dim_distance(k, x, xs_[i]) / ls_[k];
+              r2 += v * v;
+          }
+          kvec[i] = s2_ * matern52(std::sqrt(r2));
+      }
+      return kvec;
+  }
+
+  const SearchSpace* s_;
+  std::vector<Configuration> xs_;
+  std::vector<double> ls_;
+  double s2_, noise_;
+  Standardizer standardizer_;
+  std::vector<double> ys_std_;
+  std::optional<CholeskyFactor> chol_;
+  std::vector<double> alpha_;
+};
+
+/** Every parameter kind, every permutation metric, log and linear. */
+SearchSpace
+all_kinds_space()
+{
+    SearchSpace s;
+    s.add_real("lr", 1e-4, 1.0, /*log_scale=*/true);
+    s.add_real("mix", 0.0, 1.0);
+    s.add_integer("width", 1, 512, /*log_scale=*/true);
+    s.add_integer("depth", 0, 9);
+    s.add_ordinal("tile", {2, 4, 8, 16, 32, 64, 128}, /*log_scale=*/true);
+    s.add_ordinal("vec", {1, 3, 5, 7});
+    s.add_categorical("mode", {"a", "b", "c"});
+    s.add_permutation("p_sp", 4, PermutationMetric::kSpearman);
+    s.add_permutation("p_ke", 5, PermutationMetric::kKendall);
+    s.add_permutation("p_ha", 3, PermutationMetric::kHamming);
+    s.add_permutation("p_na", 3, PermutationMetric::kNaive);
+    return s;
+}
+
+double
+all_kinds_objective(const Configuration& c)
+{
+    double lr = std::log10(as_real(c[0]));
+    double w = std::log2(static_cast<double>(as_int(c[2])));
+    double perm = as_permutation(c[7])[0] + 0.5 * as_permutation(c[8])[1];
+    return (lr + 2.0) * (lr + 2.0) + as_real(c[1]) + 0.05 * w +
+           0.1 * static_cast<double>(as_int(c[3])) + 0.3 * as_int(c[6]) +
+           0.2 * perm;
+}
+
+void
+expect_batch_matches_scalar(const GpModel& gp, const ScalarPosterior& ref,
+                            const std::vector<Configuration>& cands,
+                            const char* stage)
+{
+    std::vector<GpPrediction> batch;
+    gp.predict_batch(cands, batch);
+    ASSERT_EQ(batch.size(), cands.size());
+    for (std::size_t c = 0; c < cands.size(); ++c) {
+        GpPrediction want = ref.predict(cands[c]);
+        EXPECT_EQ(batch[c].mean, want.mean) << stage << " candidate " << c;
+        EXPECT_EQ(batch[c].var, want.var) << stage << " candidate " << c;
+    }
+}
+
+TEST(GpModelBatch, PredictBatchMatchesScalarPosteriorBitForBit)
+{
+    SearchSpace s = all_kinds_space();
+    RngEngine rng(31);
+    std::vector<Configuration> xs;
+    std::vector<double> ys;
+    for (int i = 0; i < 30; ++i) {
+        xs.push_back(s.sample_unconstrained(rng));
+        ys.push_back(all_kinds_objective(xs.back()));
+    }
+    // 13 fresh candidates (not a multiple of the solve's 4-row block) plus
+    // two training points.
+    std::vector<Configuration> cands;
+    for (int i = 0; i < 13; ++i)
+        cands.push_back(s.sample_unconstrained(rng));
+    cands.push_back(xs[3]);
+    cands.push_back(xs[17]);
+
+    const std::size_t base = 24;
+    GpModel gp(s);
+    gp.fit({xs.begin(), xs.begin() + base}, {ys.begin(), ys.begin() + base},
+           rng);
+    ASSERT_EQ(gp.diag_shift(), 0.0);
+    ScalarPosterior ref(s, gp.hyperparams(), {xs.begin(), xs.begin() + base},
+                        {ys.begin(), ys.begin() + base});
+    expect_batch_matches_scalar(gp, ref, cands, "fit");
+
+    for (std::size_t i = base; i < xs.size(); ++i) {
+        ASSERT_TRUE(gp.extend(xs[i], ys[i]));
+        ASSERT_TRUE(ref.extend(xs[i], ys[i]));
+    }
+    expect_batch_matches_scalar(gp, ref, cands, "extend");
+
+    gp.truncate(base + 2);
+    ref.truncate(base + 2);
+    expect_batch_matches_scalar(gp, ref, cands, "truncate");
+
+    // predict() is the batch of one.
+    for (const Configuration& c : cands) {
+        GpPrediction one = gp.predict(c);
+        GpPrediction want = ref.predict(c);
+        EXPECT_EQ(one.mean, want.mean);
+        EXPECT_EQ(one.var, want.var);
+    }
+}
+
+TEST(GpModelBatch, FitWithHyperparamsMatchesScalarPosterior)
+{
+    SearchSpace s = all_kinds_space();
+    RngEngine rng(32);
+    std::vector<Configuration> xs;
+    std::vector<double> ys;
+    for (int i = 0; i < 20; ++i) {
+        xs.push_back(s.sample_unconstrained(rng));
+        ys.push_back(all_kinds_objective(xs.back()));
+    }
+    GpHyperparams hp;
+    hp.log_lengthscales.assign(s.num_params(), std::log(0.7));
+    hp.log_outputscale = 0.2;
+    hp.log_noise = std::log(1e-3);
+    GpModel gp(s);
+    gp.fit_with_hyperparams(xs, ys, hp);
+    ASSERT_EQ(gp.diag_shift(), 0.0);
+    ScalarPosterior ref(s, hp, xs, ys);
+    std::vector<Configuration> cands;
+    for (int i = 0; i < 9; ++i)
+        cands.push_back(s.sample_unconstrained(rng));
+    expect_batch_matches_scalar(gp, ref, cands, "fit_with_hyperparams");
+    // The model's own objective sees the same distance tensor.
+    EXPECT_TRUE(std::isfinite(gp.objective(hp)));
 }
 
 }  // namespace

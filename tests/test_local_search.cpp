@@ -9,6 +9,19 @@
 namespace baco {
 namespace {
 
+/** Batch ScoreFn from a per-configuration score. */
+template <typename F>
+ScoreFn
+batch(F f)
+{
+    return [f](const std::vector<Configuration>& cs) {
+        std::vector<double> out;
+        for (const Configuration& c : cs)
+            out.push_back(f(c));
+        return out;
+    };
+}
+
 SearchSpace
 grid_space()
 {
@@ -22,7 +35,7 @@ TEST(LocalSearch, FindsGlobalOptimumOnSmoothGrid)
 {
     SearchSpace s = grid_space();
     // Score peaks at (7, 3).
-    ScoreFn score = [](const Configuration& c) {
+    auto score = [](const Configuration& c) {
         double a = static_cast<double>(as_int(c[0]));
         double b = static_cast<double>(as_int(c[1]));
         return -(a - 7) * (a - 7) - (b - 3) * (b - 3);
@@ -31,7 +44,7 @@ TEST(LocalSearch, FindsGlobalOptimumOnSmoothGrid)
     LocalSearchOptions opt;
     opt.random_samples = 20;
     opt.starts = 3;
-    auto best = local_search_maximize(s, nullptr, score, rng, opt);
+    auto best = local_search_maximize(s, nullptr, batch(score), rng, opt);
     ASSERT_TRUE(best.has_value());
     EXPECT_EQ(as_int((*best)[0]), 7);
     EXPECT_EQ(as_int((*best)[1]), 3);
@@ -40,7 +53,7 @@ TEST(LocalSearch, FindsGlobalOptimumOnSmoothGrid)
 TEST(LocalSearch, BeatsPoolOnlyModeOnAverage)
 {
     SearchSpace s = grid_space();
-    ScoreFn score = [](const Configuration& c) {
+    auto score = [](const Configuration& c) {
         double a = static_cast<double>(as_int(c[0]));
         double b = static_cast<double>(as_int(c[1]));
         return -(a - 9) * (a - 9) - (b - 9) * (b - 9);
@@ -54,10 +67,10 @@ TEST(LocalSearch, BeatsPoolOnlyModeOnAverage)
         climb.starts = 2;
         LocalSearchOptions pool = climb;
         pool.hill_climb = false;
-        double with = score(*local_search_maximize(s, nullptr, score, r1,
-                                                   climb));
-        double without = score(*local_search_maximize(s, nullptr, score, r2,
-                                                      pool));
+        double with = score(*local_search_maximize(s, nullptr, batch(score),
+                                                   r1, climb));
+        double without = score(*local_search_maximize(s, nullptr,
+                                                      batch(score), r2, pool));
         climb_wins += (with >= without) ? 1 : 0;
     }
     EXPECT_GE(climb_wins, 18);  // hill climbing should (weakly) dominate
@@ -72,11 +85,11 @@ TEST(LocalSearch, RespectsKnownConstraintsViaCot)
     ChainOfTrees cot = ChainOfTrees::build(s);
     // Push toward the infeasible corner (small a, large b): the search must
     // stay inside a >= b.
-    ScoreFn score = [](const Configuration& c) {
+    auto score = [](const Configuration& c) {
         return static_cast<double>(as_int(c[1]) - as_int(c[0]));
     };
     RngEngine rng(3);
-    auto best = local_search_maximize(s, &cot, score, rng);
+    auto best = local_search_maximize(s, &cot, batch(score), rng);
     ASSERT_TRUE(best.has_value());
     EXPECT_GE(as_int((*best)[0]), as_int((*best)[1]));
     // The constrained optimum is a == b.
@@ -93,13 +106,13 @@ TEST(LocalSearch, TreeMovesEscapeCoupledLocalOptima)
     s.add_ordinal("b", {1, 2, 4, 8, 16, 32});
     s.add_constraint("a == b");  // diagonal only
     ChainOfTrees cot = ChainOfTrees::build(s);
-    ScoreFn score = [](const Configuration& c) {
+    auto score = [](const Configuration& c) {
         return static_cast<double>(as_int(c[0]));
     };
     RngEngine rng(4);
     LocalSearchOptions opt;
     opt.random_samples = 4;
-    auto best = local_search_maximize(s, &cot, score, rng, opt);
+    auto best = local_search_maximize(s, &cot, batch(score), rng, opt);
     ASSERT_TRUE(best.has_value());
     EXPECT_EQ(as_int((*best)[0]), 32);
 }
@@ -109,9 +122,9 @@ TEST(LocalSearch, HandlesRejectingScore)
     SearchSpace s = grid_space();
     // All candidates rejected: the search still returns something (the
     // least-bad candidate) rather than crashing.
-    ScoreFn score = [](const Configuration&) { return -1.0; };
+    auto score = [](const Configuration&) { return -1.0; };
     RngEngine rng(5);
-    auto best = local_search_maximize(s, nullptr, score, rng);
+    auto best = local_search_maximize(s, nullptr, batch(score), rng);
     EXPECT_TRUE(best.has_value());
 }
 

@@ -164,5 +164,85 @@ TEST(ParamValueHelpers, EqualityAndHash)
     EXPECT_NE(config_hash(a), config_hash(b));
 }
 
+// ---- Distance coordinates ------------------------------------------------
+
+/** coord_distance over sampled value pairs (plus each value against
+ *  itself) must equal distance() exactly, not just closely: the GP's
+ *  kernel matrices are built from coordinates and must keep their bits. */
+void
+expect_coord_distances_exact(const Parameter& p, int pairs, std::uint64_t seed)
+{
+    RngEngine rng(seed);
+    CoordMetric metric = p.coord_metric();
+    for (int i = 0; i < pairs; ++i) {
+        ParamValue a = p.sample(rng);
+        ParamValue b = p.sample(rng);
+        EXPECT_EQ(coord_distance(metric, p.coord(a), p.coord(b)),
+                  p.distance(a, b))
+            << p.name() << ": " << p.value_to_string(a) << " vs "
+            << p.value_to_string(b);
+        EXPECT_EQ(coord_distance(metric, p.coord(a), p.coord(a)),
+                  p.distance(a, a));
+    }
+}
+
+TEST(ParameterCoords, ScalarKindsMatchDistanceExactly)
+{
+    for (bool log_scale : {false, true}) {
+        RealParameter real("r", 1e-3, 250.0, log_scale);
+        IntegerParameter integer("i", 1, 4096, log_scale);
+        IntegerParameter single("one", 7, 7, log_scale);
+        OrdinalParameter ordinal("o", {1, 2, 3, 8, 64, 512, 1000}, log_scale);
+        OrdinalParameter lone("lone", {16}, log_scale);
+        for (const Parameter* p : std::initializer_list<const Parameter*>{
+                 &real, &integer, &single, &ordinal, &lone})
+            expect_coord_distances_exact(*p, 500, 21);
+    }
+}
+
+TEST(ParameterCoords, CategoricalMatchesDistanceExactly)
+{
+    CategoricalParameter p("c", {"a", "b", "c", "d", "e"});
+    expect_coord_distances_exact(p, 200, 22);
+}
+
+TEST(ParameterCoords, EveryPermutationMetricMatchesDistanceExactly)
+{
+    for (PermutationMetric metric :
+         {PermutationMetric::kKendall, PermutationMetric::kSpearman,
+          PermutationMetric::kHamming, PermutationMetric::kNaive}) {
+        for (int m = 1; m <= 8; ++m) {
+            PermutationParameter p("perm", m, metric);
+            expect_coord_distances_exact(p, 300,
+                                         23 + static_cast<std::uint64_t>(m));
+            if (m > 4)
+                continue;
+            // Small m: every pair of permutations.
+            for (std::size_t i = 0; i < p.num_values(); ++i)
+                for (std::size_t j = 0; j < p.num_values(); ++j) {
+                    ParamValue a = p.value_at(i), b = p.value_at(j);
+                    EXPECT_EQ(coord_distance(p.coord_metric(), p.coord(a),
+                                             p.coord(b)),
+                              p.distance(a, b));
+                }
+        }
+    }
+}
+
+TEST(ParameterCoords, FullReversalReachesOneUnderEveryMetric)
+{
+    // The normalizers: the full reversal is maximally far under Kendall,
+    // Spearman and Hamming (m even: no fixed point).
+    for (PermutationMetric metric :
+         {PermutationMetric::kKendall, PermutationMetric::kSpearman,
+          PermutationMetric::kHamming}) {
+        PermutationParameter p("perm", 8, metric);
+        ParamValue id = Permutation{0, 1, 2, 3, 4, 5, 6, 7};
+        ParamValue rev = Permutation{7, 6, 5, 4, 3, 2, 1, 0};
+        EXPECT_EQ(coord_distance(p.coord_metric(), p.coord(id), p.coord(rev)),
+                  1.0);
+    }
+}
+
 }  // namespace
 }  // namespace baco
