@@ -130,7 +130,8 @@ stage_bench() {
     grep -q '"serve_ok": true' "$BUILD_DIR/BENCH_serve_load.json"
     grep -q '"trace_ok": true' "$BUILD_DIR/BENCH_serve_load.json"
     # Ratchet: gated rows must not regress >tolerance vs the committed
-    # baselines (dimensionless ratios only, so the gate is portable).
+    # baselines (dimensionless ratios, so the gate is portable, plus
+    # BaCO's absolute acq_ms at h=96 in suggest_latency).
     if command -v python3 >/dev/null 2>&1; then
         python3 scripts/bench_diff.py \
             "$BUILD_DIR/BENCH_async_utilization.json" \

@@ -322,7 +322,9 @@ class PermutationParameter : public Parameter {
 
   int length() const { return m_; }
   PermutationMetric metric() const { return metric_; }
-  /** Change the semimetric (used by the Fig. 9 ablation). */
+  /** Change the semimetric (used by the Fig. 9 ablation). Set it before
+   *  tuning: a fitted GpModel keeps the coordinates of the metric it was
+   *  fit under until its next fit. */
   void set_metric(PermutationMetric m) { metric_ = m; }
 
   std::size_t num_values() const override;

@@ -200,21 +200,12 @@ Tuner::propose(State& st, const std::vector<Configuration>& fantasy_configs,
         Matrix rows;
         if (!use_gp || use_pf)
             rows = space.encode_rows(cs);
-        std::vector<double> mean(m), var(m);
+        std::vector<GpPrediction> pred;
         if (use_gp) {
-            std::vector<GpPrediction> p;
-            st.gp.predict_batch(cs, p);
-            for (std::size_t i = 0; i < m; ++i) {
-                mean[i] = p[i].mean;
-                var[i] = p[i].var;
-            }
+            st.gp.predict_batch(cs, pred);
         } else {
-            std::vector<ForestPrediction> p =
-                st.rf_surrogate.predict_rows(rows);
-            for (std::size_t i = 0; i < m; ++i) {
-                mean[i] = p[i].mean;
-                var[i] = p[i].var;
-            }
+            for (const ForestPrediction& f : st.rf_surrogate.predict_rows(rows))
+                pred.push_back(GpPrediction{f.mean, f.var});
         }
         std::vector<double> pf = use_pf ? st.feasibility.probabilities(rows)
                                         : std::vector<double>(m, 1.0);
@@ -224,7 +215,8 @@ Tuner::propose(State& st, const std::vector<Configuration>& fantasy_configs,
                 out[i] = -2.0;  // worse than any admissible candidate
                 continue;
             }
-            double s = constrained_ei(mean[i], var[i], best, pf[i], eps_f);
+            double s =
+                constrained_ei(pred[i].mean, pred[i].var, best, pf[i], eps_f);
             if (s > 0.0 && opt_.user_prior) {
                 double exponent =
                     opt_.prior_strength /

@@ -402,11 +402,9 @@ GpModel::nll(const std::vector<double>& theta, std::vector<double>* grad) const
     for (std::size_t k = 0; k < d; ++k)
         ls[k] = std::exp(hpc.log_lengthscales[k]);
 
-    // Per pair, once: the Matern value at the scaled distance r_ij and the
-    // lengthscale-derivative prefactor g_ij = s2 * factor(r_ij), both from
-    // one exp (upper triangle only).
-    // r_ij^2 sums (d_k / l_k)^2 in dimension order, one distance matrix
-    // at a time (the order a per-pair loop over k would add them in).
+    // Scaled distances, upper triangle: r_ij^2 sums (d_k / l_k)^2 in
+    // dimension order, one distance matrix at a time (the order a per-pair
+    // loop over k would add them in).
     Matrix kr(n, n, 0.0);
     for (std::size_t k = 0; k < d; ++k) {
         const Matrix& dist = tensor_.dists[k];
@@ -419,6 +417,9 @@ GpModel::nll(const std::vector<double>& theta, std::vector<double>* grad) const
             }
         }
     }
+    // Per pair, once: kr_ij becomes the Matern value at r_ij, and
+    // g_ij = s2 * factor(r_ij) the lengthscale-derivative prefactor, both
+    // from one exp.
     Matrix g(n, n);
     for (std::size_t i = 0; i < n; ++i)
         for (std::size_t j = i + 1; j < n; ++j) {

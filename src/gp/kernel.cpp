@@ -37,12 +37,6 @@ matern52(double r)
 }
 
 double
-matern52_dlog_lengthscale_factor(double r)
-{
-    return (5.0 / 3.0) * (1.0 + kSqrt5 * r) * std::exp(-kSqrt5 * r);
-}
-
-double
 matern52_with_dlog_factor(double r, double* factor)
 {
     double a = kSqrt5 * r;

@@ -38,16 +38,12 @@ struct GpHyperparams {
 double matern52(double r);
 
 /**
- * d k / d r^2 expressed through the identity
+ * matern52(r) (bit-identical), with the lengthscale-derivative factor
+ * stored in *factor, both from one exp. d k / d r^2 is expressed through
+ * the identity
  * dk/d(log l_d) = s2 * (5/3) * (1 + sqrt5 r) exp(-sqrt5 r) * d_d^2 / l_d^2,
- * used by the analytic marginal-likelihood gradient. This helper returns the
- * factor (5/3) * (1 + sqrt5 r) * exp(-sqrt5 r).
- */
-double matern52_dlog_lengthscale_factor(double r);
-
-/**
- * matern52(r), with matern52_dlog_lengthscale_factor(r) stored in *factor:
- * both from one exp, each bit-identical to its own function.
+ * used by the analytic marginal-likelihood gradient; the factor is
+ * (5/3) * (1 + sqrt5 r) * exp(-sqrt5 r).
  */
 double matern52_with_dlog_factor(double r, double* factor);
 

@@ -126,5 +126,43 @@ TEST(FeasibilityModel, RefitReplacesState)
                      1.0);
 }
 
+TEST(FeasibilityModel, BatchProbabilitiesMatchForestPredictExactly)
+{
+    // The acquisition scorer asks for P(feasible) of a whole pre-encoded
+    // candidate block. A forest fit on the same rows with the same RNG
+    // stream is the same forest, so each batch probability must equal
+    // RandomForest::predict on that candidate's encoded row, bit for bit.
+    SearchSpace s = make_space();
+    std::vector<Observation> history;
+    for (std::int64_t tile : {1, 2, 4, 8, 16, 32, 64, 128})
+        for (std::int64_t mode : {0, 1})
+            history.push_back(obs(tile, mode, tile * (mode + 1) <= 32));
+    FeasibilityModel m(s);
+    RngEngine rng_model(7);
+    m.fit(history, rng_model);
+    ASSERT_TRUE(m.active());
+
+    std::vector<std::vector<double>> x;
+    std::vector<double> y;
+    for (const Observation& o : history) {
+        x.push_back(s.encode(o.config));
+        y.push_back(o.feasible ? 1.0 : 0.0);
+    }
+    RandomForest forest(FeasibilityModel::default_options());
+    RngEngine rng_forest(7);
+    forest.fit(x, y, rng_forest);
+
+    RngEngine sample_rng(8);
+    std::vector<Configuration> cands;
+    for (int i = 0; i < 37; ++i)
+        cands.push_back(s.sample_unconstrained(sample_rng));
+    std::vector<double> batch = m.probabilities(s.encode_rows(cands));
+    ASSERT_EQ(batch.size(), cands.size());
+    for (std::size_t i = 0; i < cands.size(); ++i) {
+        EXPECT_EQ(batch[i], forest.predict(s.encode(cands[i]))) << i;
+        EXPECT_EQ(batch[i], m.probability(cands[i])) << i;
+    }
+}
+
 }  // namespace
 }  // namespace baco

@@ -134,6 +134,61 @@ TEST_P(CholeskySolveProperty, SolvesRandomSpdSystems)
 INSTANTIATE_TEST_SUITE_P(Sizes, CholeskySolveProperty,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
 
+TEST(CholeskyBlockedSolves, RowsMatchOneAtATimeSubstitutionBitForBit)
+{
+    // The blocked solves run four right-hand sides per row of L; each
+    // must keep the bits of the plain one-vector substitutions below
+    // (dot_n order forward, saxpy order backward). 0..9 rows cover every
+    // block remainder; n = 37 leaves a dot_n tail.
+    const std::size_t n = 37;
+    RngEngine rng(41);
+    Matrix b(n, n);
+    for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t j = 0; j < n; ++j)
+            b(i, j) = rng.uniform(-1, 1);
+    Matrix a = mat_mat(b, b.transposed());
+    for (std::size_t i = 0; i < n; ++i)
+        a(i, i) += 1.0;
+    auto f = cholesky(a);
+    ASSERT_TRUE(f.has_value());
+    const Matrix& l = f->lower();
+
+    for (std::size_t m = 0; m <= 9; ++m) {
+        Matrix rhs(m, n);
+        for (double& v : rhs.data())
+            v = rng.uniform(-5, 5);
+        Matrix lower = rhs, upper = rhs;
+        f->solve_lower_rows(lower);
+        f->solve_upper_rows(upper);
+        for (std::size_t r = 0; r < m; ++r) {
+            std::vector<double> z(n, 0.0);
+            for (std::size_t i = 0; i < n; ++i)
+                z[i] = (rhs(r, i) - dot_n(l.row(i), z.data(), i)) / l(i, i);
+            std::vector<double> u(rhs.row(r), rhs.row(r) + n);
+            for (std::size_t i = n; i-- > 0;) {
+                u[i] /= l(i, i);
+                for (std::size_t j = 0; j < i; ++j)
+                    u[j] -= l(i, j) * u[i];
+            }
+            for (std::size_t i = 0; i < n; ++i) {
+                EXPECT_EQ(lower(r, i), z[i]) << "m " << m << " row " << r;
+                EXPECT_EQ(upper(r, i), u[i]) << "m " << m << " row " << r;
+            }
+        }
+    }
+
+    // solve_matrix solves columns: each equals solve() on that column.
+    Matrix x = f->solve_matrix(b);
+    for (std::size_t j = 0; j < n; ++j) {
+        std::vector<double> col(n);
+        for (std::size_t i = 0; i < n; ++i)
+            col[i] = b(i, j);
+        std::vector<double> want = f->solve(col);
+        for (std::size_t i = 0; i < n; ++i)
+            EXPECT_EQ(x(i, j), want[i]);
+    }
+}
+
 TEST(Stats, BasicMoments)
 {
     std::vector<double> v{1, 2, 3, 4, 5};
