@@ -157,23 +157,20 @@ YtoptLike::suggest(int n)
             if (!st.seen.count(config_hash(c)))
                 pool.push_back(std::move(c));
         }
+        std::vector<GpPrediction> pred;
+        if (use_gp) {
+            st.gp.predict_batch(pool, pred);
+        } else {
+            for (const ForestPrediction& f :
+                 st.forest.predict_rows(space.encode_rows(pool)))
+                pred.push_back(GpPrediction{f.mean, f.var});
+        }
         std::vector<std::pair<double, Configuration>> scored;
         scored.reserve(pool.size());
-        if (use_gp) {
-            std::vector<GpPrediction> p;
-            st.gp.predict_batch(pool, p);
-            for (std::size_t i = 0; i < pool.size(); ++i)
-                scored.emplace_back(
-                    expected_improvement(p[i].mean, p[i].var, best),
-                    std::move(pool[i]));
-        } else {
-            std::vector<ForestPrediction> p =
-                st.forest.predict_rows(space.encode_rows(pool));
-            for (std::size_t i = 0; i < pool.size(); ++i)
-                scored.emplace_back(
-                    expected_improvement(p[i].mean, p[i].var, best),
-                    std::move(pool[i]));
-        }
+        for (std::size_t i = 0; i < pool.size(); ++i)
+            scored.emplace_back(
+                expected_improvement(pred[i].mean, pred[i].var, best),
+                std::move(pool[i]));
         std::stable_sort(scored.begin(), scored.end(),
                          [](const auto& a, const auto& b) {
                              return a.first > b.first;

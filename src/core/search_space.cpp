@@ -172,19 +172,19 @@ SearchSpace::neighbors(const Configuration& c, RngEngine& rng) const
 std::vector<double>
 SearchSpace::encode(const Configuration& c) const
 {
-    return std::move(encode_rows({c}).data());
+    std::vector<double> out;
+    out.reserve(num_features());
+    for (std::size_t i = 0; i < params_.size(); ++i)
+        params_[i]->encode(c[i], out);
+    return out;
 }
 
 Matrix
 SearchSpace::encode_rows(const std::vector<Configuration>& cs) const
 {
     Matrix out(cs.size(), num_features());
-    std::vector<double> row;
-    row.reserve(out.cols());
     for (std::size_t r = 0; r < cs.size(); ++r) {
-        row.clear();
-        for (std::size_t i = 0; i < params_.size(); ++i)
-            params_[i]->encode(cs[r][i], row);
+        std::vector<double> row = encode(cs[r]);
         std::copy(row.begin(), row.end(), out.row(r));
     }
     return out;

@@ -45,7 +45,9 @@ class DecisionTree {
            const std::vector<std::size_t>& sample_idx, RngEngine& rng);
 
   /** Predicted value: mean target (regression) or P(class 1). */
-  double predict(const std::vector<double>& x) const { return predict(x.data()); }
+  double predict(const std::vector<double>& x) const {
+    return predict(x.data());
+  }
 
   /** predict() over a raw feature row (at least as many entries as the
    *  training rows had). */
