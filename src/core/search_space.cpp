@@ -183,8 +183,12 @@ Matrix
 SearchSpace::encode_rows(const std::vector<Configuration>& cs) const
 {
     Matrix out(cs.size(), num_features());
+    std::vector<double> row;  // one buffer for the whole block
+    row.reserve(out.cols());
     for (std::size_t r = 0; r < cs.size(); ++r) {
-        std::vector<double> row = encode(cs[r]);
+        row.clear();
+        for (std::size_t i = 0; i < params_.size(); ++i)
+            params_[i]->encode(cs[r][i], row);
         std::copy(row.begin(), row.end(), out.row(r));
     }
     return out;
