@@ -5,6 +5,10 @@
 
 #include <cmath>
 #include <cstdio>
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "baselines/opentuner_like.hpp"
 #include "core/tuner.hpp"
@@ -202,6 +206,84 @@ TEST(Checkpoint, ResumeRejectsSeedMismatch)
     EXPECT_FALSE(resume_from_checkpoint(path, mismatched));
     OpenTunerLike matched(s, opt);
     EXPECT_TRUE(resume_from_checkpoint(path, matched));
+    std::remove(path.c_str());
+}
+
+/** A tuner that only holds a fixed history: what save_checkpoint reads. */
+class FixedTuner : public AskTellTuner {
+ public:
+  explicit FixedTuner(TuningHistory h) : history_(std::move(h)) {}
+  std::vector<Configuration> suggest(int) override { return {}; }
+  void observe(const std::vector<Configuration>&,
+               const std::vector<EvalResult>&) override {}
+  int remaining() const override { return 0; }
+  std::uint64_t run_seed() const override { return 9; }
+  const TuningHistory& history() const override { return history_; }
+  TuningHistory& mutable_history() override { return history_; }
+  TuningHistory take_history() override { return history_; }
+  std::string sampler_state() const override { return "42 17;gp=1"; }
+
+ private:
+  TuningHistory history_;
+};
+
+std::string
+read_file(const std::string& path)
+{
+    std::string text;
+    std::FILE* f = std::fopen(path.c_str(), "rb");
+    if (!f)
+        return text;
+    char buf[4096];
+    std::size_t n;
+    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0)
+        text.append(buf, n);
+    std::fclose(f);
+    return text;
+}
+
+TEST(Checkpoint, SavedFileBytesArePinned)
+{
+    Configuration a = {std::int64_t{8}, 0.375, Permutation{2, 0, 1}};
+    Configuration b = {std::int64_t{2}, 1.5, Permutation{0, 1, 2}};
+    Configuration c = {std::int64_t{64}, 0.125, Permutation{1, 2, 0}};
+    TuningHistory h;
+    h.add(a, EvalResult{1.5, true});
+    h.add(b, EvalResult{std::numeric_limits<double>::infinity(), false});
+    h.add(c, EvalResult{0.75, true});
+    h.tuner_seconds = 0.25;
+    h.eval_seconds = 2.5;
+    FixedTuner tuner(h);
+    std::vector<PendingEval> pending = {
+        PendingEval{3, {std::int64_t{16}, 2.0, Permutation{2, 1, 0}}}};
+
+    std::string path = testing::TempDir() + "baco_test_ckpt_pinned.jsonl";
+    ASSERT_TRUE(save_checkpoint(path, tuner, pending));
+    EXPECT_EQ(read_file(path),
+              "{\"type\":\"meta\",\"version\":1,\"seed\":9,"
+              "\"tuner_seconds\":0.25,\"eval_seconds\":2.5}\n"
+              "{\"type\":\"obs\",\"config\":[{\"i\":8},{\"r\":0.375},"
+              "{\"p\":[2,0,1]}],\"value\":1.5,\"feasible\":true}\n"
+              "{\"type\":\"obs\",\"config\":[{\"i\":2},{\"r\":1.5},"
+              "{\"p\":[0,1,2]}],\"value\":inf,\"feasible\":false}\n"
+              "{\"type\":\"obs\",\"config\":[{\"i\":64},{\"r\":0.125},"
+              "{\"p\":[1,2,0]}],\"value\":0.75,\"feasible\":true}\n"
+              "{\"type\":\"pending\",\"index\":3,\"config\":[{\"i\":16},"
+              "{\"r\":2},{\"p\":[2,1,0]}]}\n"
+              "{\"type\":\"state\",\"rng\":\"42 17;gp=1\"}\n");
+
+    // The pinned file loads back to the same history, bare "inf" included.
+    std::optional<CheckpointData> data = load_checkpoint(path);
+    ASSERT_TRUE(data.has_value());
+    EXPECT_EQ(data->seed, 9u);
+    EXPECT_TRUE(histories_equal(data->history, h));
+    EXPECT_TRUE(std::isinf(data->history.observations[1].value));
+    EXPECT_EQ(data->history.tuner_seconds, 0.25);
+    EXPECT_EQ(data->history.eval_seconds, 2.5);
+    ASSERT_EQ(data->pending.size(), 1u);
+    EXPECT_EQ(data->pending[0].index, 3u);
+    EXPECT_TRUE(configs_equal(data->pending[0].config, pending[0].config));
+    EXPECT_EQ(data->sampler_state, "42 17;gp=1");
     std::remove(path.c_str());
 }
 

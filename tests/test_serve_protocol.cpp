@@ -5,7 +5,10 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "serve/protocol.hpp"
 #include "serve/transport.hpp"
@@ -474,6 +477,229 @@ TEST(ServeProtocol, MalformedFramesAreRejected)
     EXPECT_FALSE(decode("{\"type\":\"observe\",\"id\":1,\"session\":\"s\","
                         "\"results\":[{\"config\":[{\"i\":3}],\"value\":1}]}",
                         out, &err));
+}
+
+/** A frame of type t with the request id most pins share. */
+Message
+frame(MsgType t, std::uint64_t id = 7)
+{
+    Message m;
+    m.type = t;
+    m.id = id;
+    return m;
+}
+
+WireSpan
+pinned_span()
+{
+    WireSpan s;
+    s.name = "worker.evaluate";
+    s.category = "worker";
+    s.thread_id = 1;
+    s.start_us = 100;
+    s.duration_us = 2500;
+    return s;
+}
+
+/**
+ * One literal frame per message type, optional fields both set and
+ * unset: the exact bytes every peer of this protocol sees.
+ */
+std::vector<std::pair<Message, std::string>>
+pinned_frames()
+{
+    const std::string cfg = "[{\"i\":8},{\"r\":0.375},{\"p\":[2,0,1]}]";
+    std::vector<std::pair<Message, std::string>> pins;
+    auto pin = [&](const Message& m, const std::string& bytes) {
+        pins.emplace_back(m, bytes);
+    };
+
+    Message m = frame(MsgType::kHello, 0);
+    pin(m, "{\"type\":\"hello\",\"v\":1,\"role\":\"client\"}");
+    m.text = "worker";
+    m.capacity = 3;
+    m.heartbeat_ms = 250;
+    pin(m, "{\"type\":\"hello\",\"v\":1,\"role\":\"worker\",\"capacity\":3,"
+           "\"heartbeat_ms\":250}");
+
+    pin(frame(MsgType::kWelcome, 0), "{\"type\":\"welcome\",\"v\":1}");
+
+    m = frame(MsgType::kOpenSession, 42);
+    m.session = "exp-1";
+    m.benchmark = "SpMM/scircuit";
+    m.method = "BaCO";
+    m.budget = 60;
+    m.doe = 10;
+    m.seed = 7;
+    m.resume = true;
+    pin(m, "{\"type\":\"open_session\",\"id\":42,\"session\":\"exp-1\","
+           "\"benchmark\":\"SpMM/scircuit\",\"method\":\"BaCO\","
+           "\"budget\":60,\"doe\":10,\"seed\":7,\"resume\":true}");
+
+    m = frame(MsgType::kOpened);
+    m.session = "s";
+    m.evals = 12;
+    m.budget = 30;
+    pin(m, "{\"type\":\"opened\",\"id\":7,\"session\":\"s\",\"evals\":12,"
+           "\"budget\":30,\"resumed\":false}");
+
+    m = frame(MsgType::kSuggest, 3);
+    m.session = "s";
+    m.n = 4;
+    pin(m, "{\"type\":\"suggest\",\"id\":3,\"session\":\"s\",\"n\":4}");
+
+    m = frame(MsgType::kConfigs, 3);
+    m.index = 16;
+    m.configs = {mixed_config(), {}};
+    pin(m, "{\"type\":\"configs\",\"id\":3,\"first_index\":16,\"configs\":[" +
+               cfg + ",[]]}");
+    m.configs.clear();
+    pin(m, "{\"type\":\"configs\",\"id\":3,\"first_index\":16,"
+           "\"configs\":[]}");
+
+    m = frame(MsgType::kObserve, 5);
+    m.session = "s";
+    m.eval_seconds = 0.125;
+    m.results = {ObservedResult{mixed_config(), 0.5, true},
+                 ObservedResult{{std::int64_t{2}},
+                                std::numeric_limits<double>::infinity(),
+                                false}};
+    pin(m, "{\"type\":\"observe\",\"id\":5,\"session\":\"s\","
+           "\"eval_seconds\":0.125,\"results\":[{\"config\":" +
+               cfg +
+               ",\"value\":0.5,\"feasible\":true},{\"config\":[{\"i\":2}],"
+               "\"value\":\"inf\",\"feasible\":false}]}");
+
+    m = frame(MsgType::kOk, 8);
+    m.evals = 13;
+    pin(m, "{\"type\":\"ok\",\"id\":8,\"evals\":13,\"best\":\"inf\"}");
+    m.best = 1.0625;
+    m.text = "/tmp/s.ckpt.jsonl";
+    pin(m, "{\"type\":\"ok\",\"id\":8,\"evals\":13,\"best\":1.0625,"
+           "\"path\":\"/tmp/s.ckpt.jsonl\"}");
+
+    m = frame(MsgType::kCheckpoint, 4);
+    m.session = "sess";
+    pin(m, "{\"type\":\"checkpoint\",\"id\":4,\"session\":\"sess\"}");
+    m.type = MsgType::kClose;
+    pin(m, "{\"type\":\"close\",\"id\":4,\"session\":\"sess\"}");
+
+    m = frame(MsgType::kRun, 6);
+    m.session = "sess";
+    m.n = 8;
+    m.budget = 40;
+    m.async = true;
+    pin(m, "{\"type\":\"run\",\"id\":6,\"session\":\"sess\",\"n\":8,"
+           "\"budget\":40,\"async\":true}");
+
+    m = frame(MsgType::kDone, 9);
+    m.evals = 60;
+    m.best = 0.5;
+    pin(m, "{\"type\":\"done\",\"id\":9,\"evals\":60,\"best\":0.5}");
+
+    m = frame(MsgType::kEvaluate, 77);
+    m.benchmark = "SDDMM/email-Enron";
+    m.seed = 123;
+    m.index = 31;
+    m.config = mixed_config();
+    pin(m, "{\"type\":\"evaluate\",\"id\":77,"
+           "\"benchmark\":\"SDDMM/email-Enron\",\"seed\":123,\"index\":31,"
+           "\"config\":" + cfg + "}");
+    m.run = 2;
+    m.trace_version = kTraceVersion;
+    m.trace_run = "run-abc";
+    m.span_id = 42;
+    pin(m, "{\"type\":\"evaluate\",\"id\":77,"
+           "\"benchmark\":\"SDDMM/email-Enron\",\"seed\":123,\"index\":31,"
+           "\"run\":2,\"tcv\":1,\"trace\":\"run-abc\",\"span\":42,"
+           "\"config\":" + cfg + "}");
+
+    m = frame(MsgType::kResult, 77);
+    m.index = 31;
+    m.value = 1.25;
+    m.feasible = false;
+    m.eval_seconds = 0.5;
+    pin(m, "{\"type\":\"result\",\"id\":77,\"index\":31,\"value\":1.25,"
+           "\"feasible\":false,\"eval_seconds\":0.5,\"evals\":0,"
+           "\"best\":\"inf\"}");
+    m.evals = 3;
+    m.best = 0.75;
+    m.run = 2;
+    m.trace_version = kTraceVersion;
+    m.trace_run = "run-abc";
+    m.span_id = 42;
+    m.spans = {pinned_span()};
+    pin(m, "{\"type\":\"result\",\"id\":77,\"index\":31,\"value\":1.25,"
+           "\"feasible\":false,\"eval_seconds\":0.5,\"evals\":3,"
+           "\"best\":0.75,\"run\":2,\"tcv\":1,\"trace\":\"run-abc\","
+           "\"span\":42,\"spans\":[{\"name\":\"worker.evaluate\","
+           "\"cat\":\"worker\",\"tid\":1,\"ts\":100,\"dur\":2500}]}");
+
+    m = frame(MsgType::kStats, 11);
+    m.session = "sess";
+    pin(m, "{\"type\":\"stats\",\"id\":11,\"session\":\"sess\"}");
+
+    m = frame(MsgType::kStatsReport, 12);
+    m.session = "sess";
+    StatEntry counter;
+    counter.name = "serve.requests_total";
+    counter.value = 1234;
+    StatEntry hist;
+    hist.name = "h";
+    hist.kind = "histogram";
+    hist.count = 42;
+    hist.sum = 0.125;
+    hist.p50 = 0.5;
+    hist.p90 = 0.75;
+    hist.p99 = std::numeric_limits<double>::infinity();
+    m.stats = {counter, hist};
+    pin(m, "{\"type\":\"stats_report\",\"id\":12,\"session\":\"sess\","
+           "\"sv\":1,\"stats\":[{\"name\":\"serve.requests_total\","
+           "\"kind\":\"counter\",\"value\":1234,\"count\":0,\"sum\":0,"
+           "\"p50\":0,\"p90\":0,\"p99\":0},{\"name\":\"h\","
+           "\"kind\":\"histogram\",\"value\":0,\"count\":42,\"sum\":0.125,"
+           "\"p50\":0.5,\"p90\":0.75,\"p99\":\"inf\"}]}");
+
+    m = frame(MsgType::kHeartbeat, 0);
+    m.evals = 17;
+    pin(m, "{\"type\":\"heartbeat\",\"id\":0,\"evals\":17}");
+    m.run = 3;
+    pin(m, "{\"type\":\"heartbeat\",\"id\":0,\"evals\":17,\"run\":3}");
+
+    m = frame(MsgType::kGoodbye, 0);
+    m.evals = 31;
+    pin(m, "{\"type\":\"goodbye\",\"id\":0,\"evals\":31}");
+    m.run = 3;
+    m.spans = {pinned_span()};
+    pin(m, "{\"type\":\"goodbye\",\"id\":0,\"evals\":31,\"run\":3,"
+           "\"spans\":[{\"name\":\"worker.evaluate\",\"cat\":\"worker\","
+           "\"tid\":1,\"ts\":100,\"dur\":2500}]}");
+
+    pin(frame(MsgType::kShutdown, 0), "{\"type\":\"shutdown\"}");
+
+    m = make_error(11, "something broke");
+    pin(m, "{\"type\":\"error\",\"id\":11,\"message\":\"something broke\"}");
+    m.text = "bad \"quote\"\\path\nline";
+    m.code = "busy";
+    pin(m, "{\"type\":\"error\",\"id\":11,"
+           "\"message\":\"bad 'quote'/path line\",\"code\":\"busy\"}");
+    return pins;
+}
+
+TEST(ServeProtocol, EncodedBytesArePinnedForEveryFrameType)
+{
+    std::vector<bool> seen(static_cast<int>(MsgType::kError) + 1, false);
+    for (const auto& [m, bytes] : pinned_frames()) {
+        EXPECT_EQ(encode(m), bytes);
+        seen[static_cast<int>(m.type)] = true;
+        // Decoding the pinned bytes and encoding again is the identity.
+        Message out;
+        std::string err;
+        ASSERT_TRUE(decode(bytes, out, &err)) << bytes << " : " << err;
+        EXPECT_EQ(encode(out), bytes);
+    }
+    for (std::size_t t = 0; t < seen.size(); ++t)
+        EXPECT_TRUE(seen[t]) << "no pinned frame for type " << t;
 }
 
 TEST(ServeTransport, LoopbackPairDeliversBothDirections)
