@@ -1,7 +1,6 @@
 #include "exec/checkpoint.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 
 #include "exec/jsonl.hpp"
@@ -30,17 +29,15 @@ save_checkpoint(const std::string& path, const AskTellTuner& tuner,
             << ",\"eval_seconds\":" << jsonl::fmt_double(h.eval_seconds)
             << "}\n";
         for (const Observation& o : h.observations) {
-            out << "{\"type\":\"obs\",\"config\":";
-            jsonl::write_config(out, o.config);
-            out << ",\"value\":" << jsonl::fmt_double(o.value)
+            out << "{\"type\":\"obs\",\"config\":"
+                << jsonl::config_json(o.config)
+                << ",\"value\":" << jsonl::fmt_double(o.value)
                 << ",\"feasible\":" << (o.feasible ? "true" : "false")
                 << "}\n";
         }
         for (const PendingEval& p : pending) {
             out << "{\"type\":\"pending\",\"index\":" << p.index
-                << ",\"config\":";
-            jsonl::write_config(out, p.config);
-            out << "}\n";
+                << ",\"config\":" << jsonl::config_json(p.config) << "}\n";
         }
         out << "{\"type\":\"state\",\"rng\":\"" << tuner.sampler_state()
             << "\"}\n";
@@ -53,60 +50,47 @@ save_checkpoint(const std::string& path, const AskTellTuner& tuner,
 std::optional<CheckpointData>
 load_checkpoint(const std::string& path)
 {
+    using jsonl::Read;
     std::ifstream in(path);
     if (!in)
         return std::nullopt;
     CheckpointData data;
     bool saw_meta = false;
     std::string line;
+    jsonl::Object obj;
+    // Every line is read strictly: a required field that is absent, or
+    // any field that fails its typed read, makes the whole file corrupt
+    // rather than loading as a silent zero.
     while (std::getline(in, line)) {
         if (line.empty())
             continue;
         std::string type;
-        if (!jsonl::field(line, "type", type))
+        if (!obj.parse(line) || obj.get("type", type) != Read::kOk)
             return std::nullopt;
         if (type == "meta") {
-            std::string seed, ts, es;
-            if (!jsonl::field(line, "seed", seed))
+            if (obj.get("seed", data.seed) != Read::kOk ||
+                obj.get("tuner_seconds", data.history.tuner_seconds) ==
+                    Read::kMalformed ||
+                obj.get("eval_seconds", data.history.eval_seconds) ==
+                    Read::kMalformed)
                 return std::nullopt;
-            data.seed = std::strtoull(seed.c_str(), nullptr, 10);
-            if (jsonl::field(line, "tuner_seconds", ts))
-                data.history.tuner_seconds = std::strtod(ts.c_str(), nullptr);
-            if (jsonl::field(line, "eval_seconds", es))
-                data.history.eval_seconds = std::strtod(es.c_str(), nullptr);
             saw_meta = true;
         } else if (type == "obs") {
-            std::size_t at = line.find("\"config\":");
-            if (at == std::string::npos)
-                return std::nullopt;
-            at += 9;
             Configuration c;
-            if (!jsonl::parse_config(line, at, c))
-                return std::nullopt;
-            std::string value, feasible;
-            if (!jsonl::field(line, "value", value) ||
-                !jsonl::field(line, "feasible", feasible)) {
-                return std::nullopt;
-            }
             EvalResult r;
-            r.value = std::strtod(value.c_str(), nullptr);
-            r.feasible = feasible == "true";
+            if (obj.get("config", c) != Read::kOk ||
+                obj.get("value", r.value) != Read::kOk ||
+                obj.get("feasible", r.feasible) != Read::kOk)
+                return std::nullopt;
             data.history.add(std::move(c), r);
         } else if (type == "pending") {
             PendingEval p;
-            std::string index;
-            if (!jsonl::field(line, "index", index))
-                return std::nullopt;
-            p.index = std::strtoull(index.c_str(), nullptr, 10);
-            std::size_t at = line.find("\"config\":");
-            if (at == std::string::npos)
-                return std::nullopt;
-            at += 9;
-            if (!jsonl::parse_config(line, at, p.config))
+            if (obj.get("index", p.index) != Read::kOk ||
+                obj.get("config", p.config) != Read::kOk)
                 return std::nullopt;
             data.pending.push_back(std::move(p));
         } else if (type == "state") {
-            if (!jsonl::field(line, "rng", data.sampler_state))
+            if (obj.get("rng", data.sampler_state) != Read::kOk)
                 return std::nullopt;
         }
     }

@@ -56,7 +56,12 @@ bool save_checkpoint(const std::string& path, const AskTellTuner& tuner);
 bool save_checkpoint(const std::string& path, const AskTellTuner& tuner,
                      const std::vector<PendingEval>& pending);
 
-/** Parse a checkpoint file; nullopt on missing/corrupt file. */
+/**
+ * Parse a checkpoint file; nullopt on a missing or corrupt file. A line
+ * that is not one complete object, lacks a required field, or holds any
+ * field that fails its typed read ("value":abc, "feasible":maybe) makes
+ * the file corrupt.
+ */
 std::optional<CheckpointData> load_checkpoint(const std::string& path);
 
 /**

@@ -265,21 +265,19 @@ EvalCache::load(const std::string& path, std::size_t* corrupt_lines)
     if (!in)
         return false;
     std::string line;
+    jsonl::Object obj;
     while (std::getline(in, line)) {
         if (line.empty())
             continue;
-        std::string key, value, feasible;
-        if (!jsonl::field(line, "key", key) ||
-            !jsonl::field(line, "value", value) ||
-            !jsonl::field(line, "feasible", feasible) ||
-            (feasible != "true" && feasible != "false")) {
+        std::string key;
+        EvalResult r;
+        if (!obj.parse(line) || obj.get("key", key) != jsonl::Read::kOk ||
+            obj.get("value", r.value) != jsonl::Read::kOk ||
+            obj.get("feasible", r.feasible) != jsonl::Read::kOk) {
             if (corrupt_lines)
                 ++*corrupt_lines;
             continue;
         }
-        EvalResult r;
-        r.value = std::strtod(value.c_str(), nullptr);
-        r.feasible = feasible == "true";
         MutexLock lock(mutex_);
         insert_locked(std::move(key), r);
     }

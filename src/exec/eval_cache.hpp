@@ -117,8 +117,9 @@ class EvalCache {
 
   /**
    * Merge entries from a save()d file (existing keys win). A corrupt
-   * line — truncated by a crash mid-write, or garbage appended by a
-   * faulty writer — is skipped and counted into *corrupt_lines (when
+   * line — truncated by a crash mid-write, garbage appended by a faulty
+   * writer, or a field that fails its typed read ("value":abc) — is
+   * skipped and counted into *corrupt_lines (when
    * non-null) instead of aborting the load: one bad line must not
    * discard the thousands of valid compile results around it. Returns
    * false only when the file cannot be opened.

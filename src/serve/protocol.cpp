@@ -1,8 +1,9 @@
 #include "serve/protocol.hpp"
 
+#include <charconv>
 #include <cmath>
-#include <cstdlib>
-#include <sstream>
+#include <string_view>
+#include <type_traits>
 
 #include "exec/jsonl.hpp"
 
@@ -10,295 +11,361 @@ namespace baco::serve {
 
 namespace {
 
-/**
- * A double as a JSON-valid token: plain %.17g when finite, quoted
- * ("inf", "-inf", "nan") otherwise — standard JSON has no non-finite
- * literals, and strtod on the decode side parses the quoted spellings.
- */
-std::string
-num_token(double v)
-{
-    if (std::isfinite(v))
-        return jsonl::fmt_double(v);
-    return "\"" + jsonl::fmt_double(v) + "\"";
-}
+// Field-list flags. Each frame type lists its keys once, in wire order,
+// and the Writer and Reader below both walk that list.
+constexpr unsigned kRequired = 1;   ///< decode: absent means malformed
+constexpr unsigned kOmitEmpty = 2;  ///< encode: skipped when 0 / empty
+constexpr unsigned kReadOnly = 4;   ///< encode: never written
 
-/** Strip characters that would break one-line JSON framing. */
-std::string
-sanitize(const std::string& s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"')
-            out += '\'';
-        else if (c == '\n' || c == '\r')
-            out += ' ';
-        else if (c == '\\')
-            out += '/';
-        else
-            out += c;
-    }
-    return out;
-}
-
+template <class V>
 void
-emit_str(std::ostream& out, const char* name, const std::string& v)
+fields(V& v, ObservedResult& r)
 {
-    out << ",\"" << name << "\":\"" << sanitize(v) << '"';
+    v("config", r.config, kRequired);
+    v("value", r.value, kRequired);
+    v("feasible", r.feasible, kRequired);
 }
 
+template <class V>
 void
-emit_u64(std::ostream& out, const char* name, std::uint64_t v)
+fields(V& v, StatEntry& e)
 {
-    out << ",\"" << name << "\":" << v;
+    v("name", e.name, kRequired);
+    v("kind", e.kind, kRequired);
+    v("value", e.value, kRequired);
+    v("count", e.count, kRequired);
+    v("sum", e.sum, kRequired);
+    v("p50", e.p50, kRequired);
+    v("p90", e.p90, kRequired);
+    v("p99", e.p99, kRequired);
 }
 
+template <class V>
 void
-emit_int(std::ostream& out, const char* name, int v)
+fields(V& v, WireSpan& s)
 {
-    out << ",\"" << name << "\":" << v;
-}
-
-void
-emit_double(std::ostream& out, const char* name, double v)
-{
-    out << ",\"" << name << "\":" << num_token(v);
-}
-
-void
-emit_bool(std::ostream& out, const char* name, bool v)
-{
-    out << ",\"" << name << "\":" << (v ? "true" : "false");
-}
-
-// The read_* helpers are strict: a present-but-non-numeric value is a
-// malformed frame (false), never a silent zero.
-
-bool
-read_u64(const std::string& line, const char* name, std::uint64_t& out)
-{
-    std::string raw;
-    if (!jsonl::field(line, name, raw))
-        return false;
-    char* end = nullptr;
-    out = std::strtoull(raw.c_str(), &end, 10);
-    return end != raw.c_str() && *end == '\0';
-}
-
-bool
-read_int(const std::string& line, const char* name, int& out)
-{
-    std::string raw;
-    if (!jsonl::field(line, name, raw))
-        return false;
-    char* end = nullptr;
-    out = static_cast<int>(std::strtol(raw.c_str(), &end, 10));
-    return end != raw.c_str() && *end == '\0';
-}
-
-bool
-read_double(const std::string& line, const char* name, double& out)
-{
-    std::string raw;
-    if (!jsonl::field(line, name, raw))
-        return false;
-    char* end = nullptr;
-    out = std::strtod(raw.c_str(), &end);
-    return end != raw.c_str() && *end == '\0';
-}
-
-bool
-read_bool(const std::string& line, const char* name, bool& out)
-{
-    std::string raw;
-    if (!jsonl::field(line, name, raw))
-        return false;
-    if (raw != "true" && raw != "false")
-        return false;
-    out = raw == "true";
-    return true;
+    v("name", s.name, kRequired);
+    v("cat", s.category, kRequired);
+    v("tid", s.thread_id, kRequired);
+    v("ts", s.start_us, kRequired);
+    v("dur", s.duration_us, kRequired);
 }
 
 /**
- * Parse the configs array ("configs":[[...],[...]]) starting at s[at]
- * (the outer '['). Advances at past the closing ']'.
+ * The optional trace context of evaluate/result frames: written only
+ * when a run id is set (so untraced frames keep the pre-trace bytes),
+ * read only under a "tcv" key.
  */
-bool
-parse_configs_array(const std::string& s, std::size_t& at,
-                    std::vector<Configuration>& out)
+template <class V>
+void
+trace_context(V& v, Message& m)
 {
-    if (at >= s.size() || s[at] != '[')
-        return false;
-    ++at;
-    out.clear();
-    if (at < s.size() && s[at] == ']') {
-        ++at;
-        return true;
+    if (v.section("tcv", m.trace_version, kTraceVersion,
+                  !m.trace_run.empty())) {
+        v("trace", m.trace_run);
+        v("span", m.span_id);
     }
-    while (at < s.size()) {
-        Configuration c;
-        if (!jsonl::parse_config(s, at, c))
-            return false;
-        out.push_back(std::move(c));
-        if (at < s.size() && s[at] == ',') {
-            ++at;
-            continue;
-        }
+}
+
+template <class V>
+void
+fields(V& v, Message& m)
+{
+    // Every frame but the handshake pair and shutdown leads with its
+    // request id; those three still take one from a peer that sends it.
+    bool bare = m.type == MsgType::kHello || m.type == MsgType::kWelcome ||
+                m.type == MsgType::kShutdown;
+    v("id", m.id, bare ? kReadOnly : 0);
+    switch (m.type) {
+      case MsgType::kHello:
+        v("v", m.version, kRequired);
+        v("role", m.text, 0, "client");
+        v("capacity", m.capacity, kOmitEmpty);
+        v("heartbeat_ms", m.heartbeat_ms, kOmitEmpty);
+        break;
+      case MsgType::kWelcome:
+        v("v", m.version, kRequired);
+        break;
+      case MsgType::kOpenSession:
+        v("session", m.session, kRequired);
+        v("benchmark", m.benchmark, kRequired);
+        v("method", m.method);
+        v("budget", m.budget);
+        v("doe", m.doe);
+        v("seed", m.seed);
+        v("resume", m.resume);
+        break;
+      case MsgType::kOpened:
+        v("session", m.session);
+        v("evals", m.evals);
+        v("budget", m.budget);
+        v("resumed", m.resumed);
+        break;
+      case MsgType::kSuggest:
+        v("session", m.session, kRequired);
+        v("n", m.n, kRequired);
+        break;
+      case MsgType::kConfigs:
+        v("first_index", m.index);
+        v("configs", m.configs, kRequired);
+        break;
+      case MsgType::kObserve:
+        v("session", m.session, kRequired);
+        v("eval_seconds", m.eval_seconds);
+        v("results", m.results, kRequired);
+        break;
+      case MsgType::kOk:
+        v("evals", m.evals);
+        v("best", m.best);
+        v("path", m.text, kOmitEmpty);
+        break;
+      case MsgType::kCheckpoint:
+      case MsgType::kClose:
+        v("session", m.session, kRequired);
+        break;
+      case MsgType::kRun:
+        v("session", m.session, kRequired);
+        v("n", m.n);
+        v("budget", m.budget);
+        v("async", m.async);
+        break;
+      case MsgType::kDone:
+        v("evals", m.evals);
+        v("best", m.best);
+        break;
+      case MsgType::kEvaluate:
+        v("benchmark", m.benchmark, kRequired);
+        v("seed", m.seed, kRequired);
+        v("index", m.index, kRequired);
+        // Run tag only when multiplexed: untagged frames keep the
+        // pre-multiplexing bytes.
+        v("run", m.run, kOmitEmpty);
+        trace_context(v, m);
+        v("config", m.config, kRequired);
+        break;
+      case MsgType::kResult:
+        v("index", m.index);
+        v("value", m.value, kRequired);
+        v("feasible", m.feasible, kRequired);
+        v("eval_seconds", m.eval_seconds);
+        // Streaming-progress fields (async server-side runs); harmless
+        // extras on coordinator<->worker replies.
+        v("evals", m.evals);
+        v("best", m.best);
+        v("run", m.run, kOmitEmpty);
+        trace_context(v, m);
+        v("spans", m.spans, kOmitEmpty);
+        break;
+      case MsgType::kStats:
+        v("session", m.session);
+        break;
+      case MsgType::kStatsReport:
+        v("session", m.session);
+        v("sv", m.stats_version, kRequired);
+        v("stats", m.stats, kRequired);
+        break;
+      case MsgType::kHeartbeat:
+        v("evals", m.evals);
+        v("run", m.run, kOmitEmpty);
+        break;
+      case MsgType::kGoodbye:
+        v("evals", m.evals);
+        v("run", m.run, kOmitEmpty);
+        v("spans", m.spans, kOmitEmpty);
+        break;
+      case MsgType::kShutdown:
+        break;
+      case MsgType::kError:
+        v("message", m.text);
+        v("code", m.code, kOmitEmpty);  // optional machine-readable code
         break;
     }
-    if (at >= s.size() || s[at] != ']')
-        return false;
-    ++at;
-    return true;
 }
 
 /**
- * Parse the results array of an observe frame:
- * "results":[{"config":[...],"value":v,"feasible":b},...].
+ * Runs a field list to append a frame to one string. The lists take
+ * mutable references so the Reader can fill them; the Writer only reads.
  */
-bool
-parse_results_array(const std::string& s, std::size_t& at,
-                    std::vector<ObservedResult>& out)
-{
-    if (at >= s.size() || s[at] != '[')
-        return false;
-    ++at;
-    out.clear();
-    if (at < s.size() && s[at] == ']') {
-        ++at;
-        return true;
-    }
-    while (at < s.size()) {
-        ObservedResult r;
-        if (s.compare(at, 10, "{\"config\":") != 0)
-            return false;
-        at += 10;
-        if (!jsonl::parse_config(s, at, r.config))
-            return false;
-        if (s.compare(at, 9, ",\"value\":") != 0)
-            return false;
-        at += 9;
-        bool quoted = at < s.size() && s[at] == '"';  // non-finite token
-        if (quoted)
-            ++at;
-        if (!jsonl::parse_double_at(s, at, r.value))
-            return false;
-        if (quoted) {
-            if (at >= s.size() || s[at] != '"')
-                return false;
-            ++at;
-        }
-        if (s.compare(at, 12, ",\"feasible\":") != 0)
-            return false;
-        at += 12;
-        if (s.compare(at, 4, "true") == 0) {
-            r.feasible = true;
-            at += 4;
-        } else if (s.compare(at, 5, "false") == 0) {
-            r.feasible = false;
-            at += 5;
-        } else {
-            return false;
-        }
-        if (at >= s.size() || s[at] != '}')
-            return false;
-        ++at;
-        out.push_back(std::move(r));
-        if (at < s.size() && s[at] == ',') {
-            ++at;
-            continue;
-        }
-        break;
-    }
-    if (at >= s.size() || s[at] != ']')
-        return false;
-    ++at;
-    return true;
-}
+class Writer {
+ public:
+  Writer(std::string& out, bool first) : out_(out), first_(first) {}
 
-/** Parse one JSON number token, quoted when non-finite (num_token). */
-bool
-parse_number_at(const std::string& s, std::size_t& at, double& out)
-{
-    bool quoted = at < s.size() && s[at] == '"';
-    if (quoted)
-        ++at;
-    if (!jsonl::parse_double_at(s, at, out))
-        return false;
-    if (quoted) {
-        if (at >= s.size() || s[at] != '"')
-            return false;
-        ++at;
-    }
-    return true;
-}
+  /** Write key: v; fallback is written in place of an empty string. */
+  template <class T>
+  void operator()(const char* key, const T& v, unsigned flags = 0,
+                  const char* fallback = nullptr)
+  {
+      if ((flags & kReadOnly) || ((flags & kOmitEmpty) && empty(v)))
+          return;
+      if (!first_)
+          out_ += ',';
+      first_ = false;
+      out_ += '"';
+      out_ += key;
+      out_ += "\":";
+      if constexpr (std::is_same_v<T, std::string>)
+          put_str(v.empty() && fallback ? fallback : std::string_view(v));
+      else
+          put(v);
+  }
+
+  /** Open an optional group led by key: value when present. */
+  bool section(const char* key, const int&, int value, bool present)
+  {
+      if (present)
+          (*this)(key, value);
+      return present;
+  }
+
+ private:
+  /** Zero, negative, false or empty: what kOmitEmpty leaves out. */
+  template <class T>
+  static bool empty(const T& v)
+  {
+      if constexpr (std::is_arithmetic_v<T>)
+          return !(v > 0);
+      else
+          return v.empty();
+  }
+
+  template <class T>
+  void put_int(T v)
+  {
+      char buf[24];
+      auto res = std::to_chars(buf, buf + sizeof buf, v);
+      out_.append(buf, res.ptr);
+  }
+  void put(int v) { put_int(v); }
+  void put(std::uint64_t v) { put_int(v); }
+  void put(bool v) { out_ += v ? "true" : "false"; }
+
+  /**
+   * A JSON-valid number token: plain %.17g when finite, quoted ("inf",
+   * "-inf", "nan") otherwise, since standard JSON has no non-finite
+   * literals.
+   */
+  void put(double v)
+  {
+      bool finite = std::isfinite(v);
+      if (!finite)
+          out_ += '"';
+      jsonl::append_double(out_, v);
+      if (!finite)
+          out_ += '"';
+  }
+
+  /** A string, stripped of what would break one-line JSON framing. */
+  void put_str(std::string_view s)
+  {
+      out_ += '"';
+      for (char c : s) {
+          if (c == '"')
+              out_ += '\'';
+          else if (c == '\n' || c == '\r')
+              out_ += ' ';
+          else if (c == '\\')
+              out_ += '/';
+          else
+              out_ += c;
+      }
+      out_ += '"';
+  }
+
+  void put(const Configuration& c) { jsonl::write_config(out_, c); }
+
+  /** An array of configurations or of field-listed objects. */
+  template <class T>
+  void put(const std::vector<T>& items)
+  {
+      out_ += '[';
+      for (std::size_t i = 0; i < items.size(); ++i) {
+          if (i > 0)
+              out_ += ',';
+          if constexpr (std::is_same_v<T, Configuration>) {
+              put(items[i]);
+          } else {
+              out_ += '{';
+              Writer element(out_, true);
+              fields(element, const_cast<T&>(items[i]));
+              out_ += '}';
+          }
+      }
+      out_ += ']';
+  }
+
+  std::string& out_;
+  bool first_;
+};
 
 /**
- * Parse the stats array of a stats_report frame. Fixed shape, every
- * field present in order (see StatEntry):
- * [{"name":"...","kind":"...","value":v,"count":n,"sum":v,
- *   "p50":v,"p90":v,"p99":v},...]
+ * Runs a field list over one indexed JSON object. Any present field that
+ * fails its typed read, or a required field that is absent, rejects the
+ * whole object; the first such failure is kept in why().
  */
-bool
-parse_stats_array(const std::string& s, std::size_t& at,
-                  std::vector<StatEntry>& out)
-{
-    auto parse_quoted = [&](std::string& v) -> bool {
-        if (at >= s.size() || s[at] != '"')
-            return false;
-        ++at;
-        std::size_t end = s.find('"', at);
-        if (end == std::string::npos)
-            return false;
-        v = s.substr(at, end - at);
-        at = end + 1;
-        return true;
-    };
-    auto expect = [&](const char* lit) -> bool {
-        std::size_t len = std::char_traits<char>::length(lit);
-        if (s.compare(at, len, lit) != 0)
-            return false;
-        at += len;
-        return true;
-    };
-    if (at >= s.size() || s[at] != '[')
-        return false;
-    ++at;
-    out.clear();
-    if (at < s.size() && s[at] == ']') {
-        ++at;
-        return true;
-    }
-    while (at < s.size()) {
-        StatEntry e;
-        double count = 0.0;
-        if (!expect("{\"name\":") || !parse_quoted(e.name) ||
-            !expect(",\"kind\":") || !parse_quoted(e.kind) ||
-            !expect(",\"value\":") || !parse_number_at(s, at, e.value) ||
-            !expect(",\"count\":") || !parse_number_at(s, at, count) ||
-            !expect(",\"sum\":") || !parse_number_at(s, at, e.sum) ||
-            !expect(",\"p50\":") || !parse_number_at(s, at, e.p50) ||
-            !expect(",\"p90\":") || !parse_number_at(s, at, e.p90) ||
-            !expect(",\"p99\":") || !parse_number_at(s, at, e.p99) ||
-            !expect("}")) {
-            return false;
-        }
-        if (count < 0.0)
-            return false;
-        e.count = static_cast<std::uint64_t>(count);
-        out.push_back(std::move(e));
-        if (at < s.size() && s[at] == ',') {
-            ++at;
-            continue;
-        }
-        break;
-    }
-    if (at >= s.size() || s[at] != ']')
-        return false;
-    ++at;
-    return true;
-}
+class Reader {
+ public:
+  Reader(const jsonl::Object& obj, const char* what) : obj_(obj), what_(what)
+  {
+  }
+
+  template <class T>
+  void operator()(const char* key, T& v, unsigned flags = 0,
+                  const char* = nullptr)
+  {
+      if (!why_.empty())
+          return;
+      jsonl::Read r = read(key, v);
+      if (r == jsonl::Read::kMalformed)
+          why_ = std::string("malformed \"") + key + "\" in " + what_;
+      else if (r == jsonl::Read::kAbsent && (flags & kRequired))
+          why_ = std::string(what_) + " without \"" + key + "\"";
+  }
+
+  /** Read the group's leading key; the group is present when it is. */
+  bool section(const char* key, int& v, int, bool)
+  {
+      (*this)(key, v);
+      return why_.empty() && !obj_.raw(key).empty();
+  }
+
+  const std::string& why() const { return why_; }
+
+ private:
+  template <class T>
+  jsonl::Read read(const char* key, T& v)
+  {
+      return obj_.get(key, v);
+  }
+
+  jsonl::Read read(const char* key, Configuration& c)
+  {
+      return obj_.get(key, c);
+  }
+
+  /** An array of configurations or of field-listed objects. */
+  template <class T>
+  jsonl::Read read(const char* key, std::vector<T>& items)
+  {
+      const std::string& text = obj_.text();
+      return obj_.each(key, [&](std::size_t at, std::size_t end) {
+          T& item = items.emplace_back();
+          if constexpr (std::is_same_v<T, Configuration>) {
+              return jsonl::parse_config(text, at, item) && at == end;
+          } else {
+              jsonl::Object element;
+              if (!element.parse(text, at, end))
+                  return false;
+              Reader r(element, what_);
+              fields(r, item);
+              return r.why_.empty();
+          }
+      });
+  }
+
+  const jsonl::Object& obj_;
+  const char* what_;
+  std::string why_;
+};
 
 bool
 fail(std::string* error, const std::string& why)
@@ -306,122 +373,6 @@ fail(std::string* error, const std::string& why)
     if (error)
         *error = why;
     return false;
-}
-
-/**
- * Emit the optional trace context of an evaluate/result frame. Skipped
- * entirely when no run id is set, so untraced frames are byte-identical
- * to the pre-trace wire format.
- */
-void
-emit_trace_context(std::ostream& out, const Message& m)
-{
-    if (m.trace_run.empty())
-        return;
-    emit_int(out, "tcv", kTraceVersion);
-    emit_str(out, "trace", m.trace_run);
-    emit_u64(out, "span", m.span_id);
-}
-
-/** Emit the "spans" array of a result/goodbye frame (skipped if empty). */
-void
-emit_spans(std::ostream& out, const std::vector<WireSpan>& spans)
-{
-    if (spans.empty())
-        return;
-    out << ",\"spans\":[";
-    for (std::size_t i = 0; i < spans.size(); ++i) {
-        const WireSpan& s = spans[i];
-        if (i > 0)
-            out << ',';
-        out << "{\"name\":\"" << sanitize(s.name) << "\",\"cat\":\""
-            << sanitize(s.category) << "\",\"tid\":" << s.thread_id
-            << ",\"ts\":" << s.start_us << ",\"dur\":" << s.duration_us
-            << '}';
-    }
-    out << ']';
-}
-
-/**
- * Parse the spans array of a result/goodbye frame. Fixed shape, every
- * field present in order (see WireSpan):
- * [{"name":"...","cat":"...","tid":n,"ts":n,"dur":n},...]
- */
-bool
-parse_spans_array(const std::string& s, std::size_t& at,
-                  std::vector<WireSpan>& out)
-{
-    auto parse_quoted = [&](std::string& v) -> bool {
-        if (at >= s.size() || s[at] != '"')
-            return false;
-        ++at;
-        std::size_t end = s.find('"', at);
-        if (end == std::string::npos)
-            return false;
-        v = s.substr(at, end - at);
-        at = end + 1;
-        return true;
-    };
-    auto expect = [&](const char* lit) -> bool {
-        std::size_t len = std::char_traits<char>::length(lit);
-        if (s.compare(at, len, lit) != 0)
-            return false;
-        at += len;
-        return true;
-    };
-    auto parse_u64_at = [&](std::uint64_t& v) -> bool {
-        double d = 0.0;
-        if (!jsonl::parse_double_at(s, at, d) || d < 0.0)
-            return false;
-        v = static_cast<std::uint64_t>(d);
-        return true;
-    };
-    if (at >= s.size() || s[at] != '[')
-        return false;
-    ++at;
-    out.clear();
-    if (at < s.size() && s[at] == ']') {
-        ++at;
-        return true;
-    }
-    while (at < s.size()) {
-        WireSpan e;
-        if (!expect("{\"name\":") || !parse_quoted(e.name) ||
-            !expect(",\"cat\":") || !parse_quoted(e.category) ||
-            !expect(",\"tid\":") || !parse_u64_at(e.thread_id) ||
-            !expect(",\"ts\":") || !parse_u64_at(e.start_us) ||
-            !expect(",\"dur\":") || !parse_u64_at(e.duration_us) ||
-            !expect("}")) {
-            return false;
-        }
-        out.push_back(std::move(e));
-        if (at < s.size() && s[at] == ',') {
-            ++at;
-            continue;
-        }
-        break;
-    }
-    if (at >= s.size() || s[at] != ']')
-        return false;
-    ++at;
-    return true;
-}
-
-/** Decode the optional trace context / spans of a result-like frame. */
-bool
-read_trace_fields(const std::string& line, Message& out, std::string* error)
-{
-    if (read_int(line, "tcv", out.trace_version)) {
-        jsonl::field(line, "trace", out.trace_run);
-        read_u64(line, "span", out.span_id);
-    }
-    std::size_t at = line.find("\"spans\":");
-    if (at != std::string::npos) {
-        at += 8;
-        if (!parse_spans_array(line, at, out.spans))
-            return fail(error, "malformed spans array");
-    }
-    return true;
 }
 
 }  // namespace
@@ -457,355 +408,38 @@ msg_type_name(MsgType t)
 std::string
 encode(const Message& m)
 {
-    std::ostringstream out;
-    out << "{\"type\":\"" << msg_type_name(m.type) << '"';
-    switch (m.type) {
-      case MsgType::kHello:
-        emit_int(out, "v", m.version);
-        emit_str(out, "role", m.text.empty() ? "client" : m.text);
-        if (m.capacity > 0)
-            emit_int(out, "capacity", m.capacity);
-        if (m.heartbeat_ms > 0)
-            emit_int(out, "heartbeat_ms", m.heartbeat_ms);
-        break;
-      case MsgType::kWelcome:
-        emit_int(out, "v", m.version);
-        break;
-      case MsgType::kOpenSession:
-        emit_u64(out, "id", m.id);
-        emit_str(out, "session", m.session);
-        emit_str(out, "benchmark", m.benchmark);
-        emit_str(out, "method", m.method);
-        emit_int(out, "budget", m.budget);
-        emit_int(out, "doe", m.doe);
-        emit_u64(out, "seed", m.seed);
-        emit_bool(out, "resume", m.resume);
-        break;
-      case MsgType::kOpened:
-        emit_u64(out, "id", m.id);
-        emit_str(out, "session", m.session);
-        emit_u64(out, "evals", m.evals);
-        emit_int(out, "budget", m.budget);
-        emit_bool(out, "resumed", m.resumed);
-        break;
-      case MsgType::kSuggest:
-        emit_u64(out, "id", m.id);
-        emit_str(out, "session", m.session);
-        emit_int(out, "n", m.n);
-        break;
-      case MsgType::kConfigs: {
-        emit_u64(out, "id", m.id);
-        emit_u64(out, "first_index", m.index);
-        out << ",\"configs\":[";
-        for (std::size_t i = 0; i < m.configs.size(); ++i) {
-            if (i > 0)
-                out << ',';
-            jsonl::write_config(out, m.configs[i]);
-        }
-        out << ']';
-        break;
-      }
-      case MsgType::kObserve: {
-        emit_u64(out, "id", m.id);
-        emit_str(out, "session", m.session);
-        emit_double(out, "eval_seconds", m.eval_seconds);
-        out << ",\"results\":[";
-        for (std::size_t i = 0; i < m.results.size(); ++i) {
-            if (i > 0)
-                out << ',';
-            out << "{\"config\":";
-            jsonl::write_config(out, m.results[i].config);
-            out << ",\"value\":" << num_token(m.results[i].value)
-                << ",\"feasible\":"
-                << (m.results[i].feasible ? "true" : "false") << '}';
-        }
-        out << ']';
-        break;
-      }
-      case MsgType::kOk:
-        emit_u64(out, "id", m.id);
-        emit_u64(out, "evals", m.evals);
-        emit_double(out, "best", m.best);
-        if (!m.text.empty())
-            emit_str(out, "path", m.text);
-        break;
-      case MsgType::kCheckpoint:
-      case MsgType::kClose:
-        emit_u64(out, "id", m.id);
-        emit_str(out, "session", m.session);
-        break;
-      case MsgType::kRun:
-        emit_u64(out, "id", m.id);
-        emit_str(out, "session", m.session);
-        emit_int(out, "n", m.n);
-        emit_int(out, "budget", m.budget);
-        emit_bool(out, "async", m.async);
-        break;
-      case MsgType::kDone:
-        emit_u64(out, "id", m.id);
-        emit_u64(out, "evals", m.evals);
-        emit_double(out, "best", m.best);
-        break;
-      case MsgType::kEvaluate:
-        emit_u64(out, "id", m.id);
-        emit_str(out, "benchmark", m.benchmark);
-        emit_u64(out, "seed", m.seed);
-        emit_u64(out, "index", m.index);
-        // Run tag only when multiplexed: untagged frames stay
-        // byte-identical to the pre-multiplexing wire format.
-        if (m.run > 0)
-            emit_u64(out, "run", m.run);
-        emit_trace_context(out, m);
-        out << ",\"config\":";
-        jsonl::write_config(out, m.config);
-        break;
-      case MsgType::kResult:
-        emit_u64(out, "id", m.id);
-        emit_u64(out, "index", m.index);
-        emit_double(out, "value", m.value);
-        emit_bool(out, "feasible", m.feasible);
-        emit_double(out, "eval_seconds", m.eval_seconds);
-        // Streaming-progress fields (async server-side runs); harmless
-        // extras on coordinator<->worker replies.
-        emit_u64(out, "evals", m.evals);
-        emit_double(out, "best", m.best);
-        if (m.run > 0)
-            emit_u64(out, "run", m.run);
-        emit_trace_context(out, m);
-        emit_spans(out, m.spans);
-        break;
-      case MsgType::kStats:
-        emit_u64(out, "id", m.id);
-        emit_str(out, "session", m.session);
-        break;
-      case MsgType::kStatsReport: {
-        emit_u64(out, "id", m.id);
-        emit_str(out, "session", m.session);
-        emit_int(out, "sv", m.stats_version);
-        out << ",\"stats\":[";
-        for (std::size_t i = 0; i < m.stats.size(); ++i) {
-            const StatEntry& e = m.stats[i];
-            if (i > 0)
-                out << ',';
-            out << "{\"name\":\"" << sanitize(e.name) << "\",\"kind\":\""
-                << sanitize(e.kind) << "\",\"value\":" << num_token(e.value)
-                << ",\"count\":" << e.count
-                << ",\"sum\":" << num_token(e.sum)
-                << ",\"p50\":" << num_token(e.p50)
-                << ",\"p90\":" << num_token(e.p90)
-                << ",\"p99\":" << num_token(e.p99) << '}';
-        }
-        out << ']';
-        break;
-      }
-      case MsgType::kHeartbeat:
-        emit_u64(out, "id", m.id);
-        emit_u64(out, "evals", m.evals);
-        if (m.run > 0)
-            emit_u64(out, "run", m.run);
-        break;
-      case MsgType::kGoodbye:
-        emit_u64(out, "id", m.id);
-        emit_u64(out, "evals", m.evals);
-        if (m.run > 0)
-            emit_u64(out, "run", m.run);
-        emit_spans(out, m.spans);
-        break;
-      case MsgType::kShutdown:
-        break;
-      case MsgType::kError:
-        emit_u64(out, "id", m.id);
-        emit_str(out, "message", m.text);
-        if (!m.code.empty())
-            emit_str(out, "code", m.code);
-        break;
-    }
-    out << '}';
-    return out.str();
+    std::string out;
+    out.reserve(128);
+    out += "{\"type\":\"";
+    out += msg_type_name(m.type);
+    out += '"';
+    Writer w(out, false);
+    fields(w, const_cast<Message&>(m));
+    out += '}';
+    return out;
 }
 
 bool
 decode(const std::string& line, Message& out, std::string* error)
 {
     out = Message{};
-    if (line.empty() || line.front() != '{' || line.back() != '}')
+    jsonl::Object obj;
+    if (!obj.parse(line))
         return fail(error, "frame is not a complete JSON object");
     std::string type;
-    if (!jsonl::field(line, "type", type))
+    if (obj.get("type", type) != jsonl::Read::kOk)
         return fail(error, "frame has no type field");
-
-    read_u64(line, "id", out.id);
-
-    if (type == "hello") {
-        out.type = MsgType::kHello;
-        if (!read_int(line, "v", out.version))
-            return fail(error, "hello without protocol version");
-        jsonl::field(line, "role", out.text);
-        read_int(line, "capacity", out.capacity);
-        read_int(line, "heartbeat_ms", out.heartbeat_ms);
-        return true;
+    for (int t = 0;; ++t) {
+        if (t > static_cast<int>(MsgType::kError))
+            return fail(error, "unknown frame type: " + type);
+        if (type == msg_type_name(static_cast<MsgType>(t))) {
+            out.type = static_cast<MsgType>(t);
+            break;
+        }
     }
-    if (type == "welcome") {
-        out.type = MsgType::kWelcome;
-        if (!read_int(line, "v", out.version))
-            return fail(error, "welcome without protocol version");
-        return true;
-    }
-    if (type == "open_session") {
-        out.type = MsgType::kOpenSession;
-        if (!jsonl::field(line, "session", out.session))
-            return fail(error, "open_session without session name");
-        if (!jsonl::field(line, "benchmark", out.benchmark))
-            return fail(error, "open_session without benchmark");
-        jsonl::field(line, "method", out.method);
-        read_int(line, "budget", out.budget);
-        read_int(line, "doe", out.doe);
-        read_u64(line, "seed", out.seed);
-        read_bool(line, "resume", out.resume);
-        return true;
-    }
-    if (type == "opened") {
-        out.type = MsgType::kOpened;
-        jsonl::field(line, "session", out.session);
-        read_u64(line, "evals", out.evals);
-        read_int(line, "budget", out.budget);
-        read_bool(line, "resumed", out.resumed);
-        return true;
-    }
-    if (type == "suggest") {
-        out.type = MsgType::kSuggest;
-        if (!jsonl::field(line, "session", out.session))
-            return fail(error, "suggest without session name");
-        if (!read_int(line, "n", out.n))
-            return fail(error, "suggest without batch size");
-        return true;
-    }
-    if (type == "configs") {
-        out.type = MsgType::kConfigs;
-        read_u64(line, "first_index", out.index);
-        std::size_t at = line.find("\"configs\":");
-        if (at == std::string::npos)
-            return fail(error, "configs frame without configs array");
-        at += 10;
-        if (!parse_configs_array(line, at, out.configs))
-            return fail(error, "malformed configs array");
-        return true;
-    }
-    if (type == "observe") {
-        out.type = MsgType::kObserve;
-        if (!jsonl::field(line, "session", out.session))
-            return fail(error, "observe without session name");
-        read_double(line, "eval_seconds", out.eval_seconds);
-        std::size_t at = line.find("\"results\":");
-        if (at == std::string::npos)
-            return fail(error, "observe frame without results array");
-        at += 10;
-        if (!parse_results_array(line, at, out.results))
-            return fail(error, "malformed results array");
-        return true;
-    }
-    if (type == "ok") {
-        out.type = MsgType::kOk;
-        read_u64(line, "evals", out.evals);
-        read_double(line, "best", out.best);
-        jsonl::field(line, "path", out.text);
-        return true;
-    }
-    if (type == "checkpoint" || type == "close") {
-        out.type =
-            type == "checkpoint" ? MsgType::kCheckpoint : MsgType::kClose;
-        if (!jsonl::field(line, "session", out.session))
-            return fail(error, type + " without session name");
-        return true;
-    }
-    if (type == "run") {
-        out.type = MsgType::kRun;
-        if (!jsonl::field(line, "session", out.session))
-            return fail(error, "run without session name");
-        read_int(line, "n", out.n);
-        read_int(line, "budget", out.budget);
-        read_bool(line, "async", out.async);
-        return true;
-    }
-    if (type == "done") {
-        out.type = MsgType::kDone;
-        read_u64(line, "evals", out.evals);
-        read_double(line, "best", out.best);
-        return true;
-    }
-    if (type == "evaluate") {
-        out.type = MsgType::kEvaluate;
-        if (!jsonl::field(line, "benchmark", out.benchmark))
-            return fail(error, "evaluate without benchmark");
-        if (!read_u64(line, "seed", out.seed))
-            return fail(error, "evaluate without seed");
-        if (!read_u64(line, "index", out.index))
-            return fail(error, "evaluate without index");
-        read_u64(line, "run", out.run);  // optional run tag
-        if (!read_trace_fields(line, out, error))
-            return false;
-        std::size_t at = line.find("\"config\":");
-        if (at == std::string::npos)
-            return fail(error, "evaluate without config");
-        at += 9;
-        if (!jsonl::parse_config(line, at, out.config))
-            return fail(error, "malformed config array");
-        return true;
-    }
-    if (type == "result") {
-        out.type = MsgType::kResult;
-        if (!read_double(line, "value", out.value))
-            return fail(error, "result without value");
-        if (!read_bool(line, "feasible", out.feasible))
-            return fail(error, "result without feasibility");
-        read_double(line, "eval_seconds", out.eval_seconds);
-        read_u64(line, "index", out.index);
-        read_u64(line, "evals", out.evals);
-        read_double(line, "best", out.best);
-        read_u64(line, "run", out.run);  // optional run tag
-        return read_trace_fields(line, out, error);
-    }
-    if (type == "stats") {
-        out.type = MsgType::kStats;
-        jsonl::field(line, "session", out.session);
-        return true;
-    }
-    if (type == "stats_report") {
-        out.type = MsgType::kStatsReport;
-        jsonl::field(line, "session", out.session);
-        if (!read_int(line, "sv", out.stats_version))
-            return fail(error, "stats_report without schema version");
-        std::size_t at = line.find("\"stats\":");
-        if (at == std::string::npos)
-            return fail(error, "stats_report without stats array");
-        at += 8;
-        if (!parse_stats_array(line, at, out.stats))
-            return fail(error, "malformed stats array");
-        return true;
-    }
-    if (type == "heartbeat") {
-        out.type = MsgType::kHeartbeat;
-        read_u64(line, "evals", out.evals);
-        read_u64(line, "run", out.run);  // optional run tag
-        return true;
-    }
-    if (type == "goodbye") {
-        out.type = MsgType::kGoodbye;
-        read_u64(line, "evals", out.evals);
-        read_u64(line, "run", out.run);  // optional run tag
-        return read_trace_fields(line, out, error);
-    }
-    if (type == "shutdown") {
-        out.type = MsgType::kShutdown;
-        return true;
-    }
-    if (type == "error") {
-        out.type = MsgType::kError;
-        jsonl::field(line, "message", out.text);
-        jsonl::field(line, "code", out.code);  // optional machine code
-        return true;
-    }
-    return fail(error, "unknown frame type: " + type);
+    Reader r(obj, msg_type_name(out.type));
+    fields(r, out);
+    return r.why().empty() || fail(error, r.why());
 }
 
 Message

@@ -64,10 +64,22 @@
  * coordinator merges into the server's Chrome trace as per-worker
  * tracks.
  *
- * Any request can be answered with an error frame. Unknown trailing
- * fields are ignored, so adding optional fields is backward-compatible;
+ * Any request can be answered with an error frame. Unknown fields are
+ * ignored, so adding optional fields is backward-compatible;
  * incompatible changes bump kProtocolVersion and are rejected at the
  * handshake.
+ *
+ * Decode rules (one field list per frame type drives both encode and
+ * decode, over the shared jsonl::Object reader):
+ *  - only top-level keys count: a key nested inside another value
+ *    (an unknown field's object, say) never stands in for the frame's
+ *    own field;
+ *  - every present field must pass its typed read, optional ones
+ *    included: "budget":"x", "budget":12x or "async":yes make the frame
+ *    malformed rather than a silent 0, prefix or false;
+ *  - integers are range-checked: "n":4294967297 is malformed, not a
+ *    batch of 1 after narrowing to int;
+ *  - a required field that is absent makes the frame malformed.
  */
 
 #include <cstdint>
@@ -130,9 +142,8 @@ struct ObservedResult {
 };
 
 /**
- * One metric inside a stats_report frame. The wire shape is fixed —
- * every field is always emitted in this order, zeros included — so the
- * strict parser needs no optional-field logic. kind is "counter",
+ * One metric inside a stats_report frame. Every field is emitted, zeros
+ * included, and every field is required on decode. kind is "counter",
  * "gauge" or "histogram"; counters/gauges use value, histograms use
  * count/sum and the extracted percentiles (seconds).
  */
@@ -149,8 +160,7 @@ struct StatEntry {
 
 /**
  * One completed span inside a result/goodbye frame's "spans" array.
- * Like StatEntry the wire shape is fixed — every field always emitted in
- * order — so the strict parser needs no optional-field logic.
+ * Like StatEntry, every field is emitted and required on decode.
  * Timestamps are microseconds on the worker's own clock; the merged
  * export renders each worker as its own track, so cross-process clock
  * alignment is not required.
@@ -221,11 +231,11 @@ struct Message {
 std::string encode(const Message& m);
 
 /**
- * Parse one frame. Returns false on a malformed frame or unknown type,
- * with a diagnostic in *error (when non-null). Strict about framing: the
- * line must be one complete JSON object ('{' ... '}'), so a truncated
- * frame — a crash mid-write, a cut pipe — is rejected rather than parsed
- * as a shorter valid message. Never throws.
+ * Parse one frame under the decode rules above. Returns false on a
+ * malformed frame or unknown type, with a diagnostic in *error (when
+ * non-null). Strict about framing: the line must be one complete JSON
+ * object, so a truncated frame — a crash mid-write, a cut pipe — is
+ * rejected rather than parsed as a shorter valid message. Never throws.
  */
 bool decode(const std::string& line, Message& out,
             std::string* error = nullptr);

@@ -135,6 +135,28 @@ TEST(EvalCache, LoadSkipsAndCountsCorruptLines)
             ++found;
     }
     EXPECT_EQ(found, 2);
+
+    // Lines whose fields are present but fail their typed read are
+    // corrupt too, never cached as a silent 0: a non-numeric value, a
+    // number with trailing junk, a non-boolean feasibility, an unquoted
+    // key, and a nested key standing in for a missing top-level one.
+    {
+        std::FILE* app = std::fopen(path.c_str(), "ab");
+        ASSERT_NE(app, nullptr);
+        std::fputs("{\"key\":\"i:1|i:1\",\"value\":abc,\"feasible\":true}\n"
+                   "{\"key\":\"i:1|i:2\",\"value\":3x,\"feasible\":true}\n"
+                   "{\"key\":\"i:1|i:3\",\"value\":1,\"feasible\":maybe}\n"
+                   "{\"key\":7,\"value\":1,\"feasible\":true}\n"
+                   "{\"x\":{\"key\":\"i:1|i:4\"},\"value\":1,"
+                   "\"feasible\":true}\n",
+                   app);
+        std::fclose(app);
+    }
+    EvalCache strict;
+    std::size_t bad = 0;
+    ASSERT_TRUE(strict.load(path, &bad));
+    EXPECT_EQ(strict.size(), 2u);
+    EXPECT_EQ(bad, 3u + 5u);
     std::remove(path.c_str());
 }
 

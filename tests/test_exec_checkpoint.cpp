@@ -299,6 +299,47 @@ TEST(Checkpoint, LoadMissingOrCorruptFileFails)
         std::fclose(f);
     }
     EXPECT_FALSE(load_checkpoint(path).has_value());
+
+    // A field that is present but fails its typed read makes the file
+    // corrupt: loading it as 0 or false would restore a wrong history (a
+    // value-0 feasible observation is a spurious incumbent).
+    const std::string meta =
+        "{\"type\":\"meta\",\"version\":1,\"seed\":3,"
+        "\"tuner_seconds\":0,\"eval_seconds\":0}\n";
+    const std::string obs = "{\"type\":\"obs\",\"config\":[{\"i\":4}],";
+    const std::string state = "{\"type\":\"state\",\"rng\":\"\"}\n";
+    for (const std::string& text : {
+             meta + obs + "\"value\":abc,\"feasible\":true}\n" + state,
+             meta + obs + "\"value\":1.5,\"feasible\":maybe}\n" + state,
+             meta + obs + "\"value\":2x,\"feasible\":true}\n" + state,
+             meta + obs + "\"value\":1.5}\n" + state,
+             std::string("{\"type\":\"meta\",\"version\":1,\"seed\":x7}\n") +
+                 state,
+             std::string("{\"type\":\"meta\",\"version\":1,\"seed\":3,"
+                         "\"tuner_seconds\":fast}\n") +
+                 state,
+             meta + "{\"type\":\"pending\",\"index\":-1,"
+                    "\"config\":[{\"i\":4}]}\n" + state,
+             meta + "{\"type\":\"state\",\"rng\":17}\n",
+         }) {
+        std::FILE* f = std::fopen(path.c_str(), "w");
+        ASSERT_NE(f, nullptr);
+        std::fputs(text.c_str(), f);
+        std::fclose(f);
+        EXPECT_FALSE(load_checkpoint(path).has_value()) << text;
+    }
+    // The same file with well-typed fields loads.
+    {
+        std::FILE* f = std::fopen(path.c_str(), "w");
+        ASSERT_NE(f, nullptr);
+        std::fputs((meta + obs + "\"value\":1.5,\"feasible\":true}\n" + state)
+                       .c_str(),
+                   f);
+        std::fclose(f);
+    }
+    std::optional<CheckpointData> good = load_checkpoint(path);
+    ASSERT_TRUE(good.has_value());
+    EXPECT_EQ(good->history.size(), 1u);
     std::remove(path.c_str());
 }
 

@@ -157,14 +157,23 @@ TEST(ThreadPoolContention, BusyWorkersCountsCallerInsideRun)
     ThreadPool pool(2);
     std::atomic<int> peak{0};
     std::vector<std::function<void()>> tasks;
+    // Until the overlap has been seen, each task holds its lane until the
+    // other lane is inside execute() too (or a shared deadline passes), so
+    // the check does not depend on how soon a loaded machine schedules
+    // the worker thread.
+    auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
     for (int i = 0; i < 16; ++i) {
         tasks.push_back([&] {
             int busy = pool.busy_workers();
+            while (busy < 2 && peak.load() < 2 &&
+                   std::chrono::steady_clock::now() < deadline) {
+                std::this_thread::yield();
+                busy = pool.busy_workers();
+            }
             int prev = peak.load();
             while (busy > prev &&
                    !peak.compare_exchange_weak(prev, busy)) {
             }
-            std::this_thread::sleep_for(std::chrono::microseconds(200));
         });
     }
     pool.run(std::move(tasks));

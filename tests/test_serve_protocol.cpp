@@ -477,6 +477,83 @@ TEST(ServeProtocol, MalformedFramesAreRejected)
     EXPECT_FALSE(decode("{\"type\":\"observe\",\"id\":1,\"session\":\"s\","
                         "\"results\":[{\"config\":[{\"i\":3}],\"value\":1}]}",
                         out, &err));
+    // Present optional fields that fail their typed read: never a silent
+    // zero, false or numeric prefix.
+    for (const char* frame : {
+             "{\"type\":\"open_session\",\"id\":1,\"session\":\"s\","
+             "\"benchmark\":\"b\",\"budget\":\"x\"}",
+             "{\"type\":\"open_session\",\"id\":1,\"session\":\"s\","
+             "\"benchmark\":\"b\",\"budget\":12x}",
+             "{\"type\":\"open_session\",\"id\":1,\"session\":\"s\","
+             "\"benchmark\":\"b\",\"seed\":-3}",
+             "{\"type\":\"run\",\"id\":1,\"session\":\"s\",\"async\":yes}",
+             "{\"type\":\"suggest\",\"id\":\"7q\",\"session\":\"s\",\"n\":1}",
+             "{\"type\":\"suggest\",\"id\":\"7\",\"session\":\"s\",\"n\":1}",
+             "{\"type\":\"suggest\",\"id\":1,\"session\":5,\"n\":1}",
+             "{\"type\":\"observe\",\"id\":1,\"session\":\"s\","
+             "\"eval_seconds\":\"0.5\",\"results\":[]}",
+             "{\"type\":\"ok\",\"id\":1,\"best\":1.5.2}",
+             "{\"type\":\"hello\",\"v\":1,\"capacity\":two}",
+             "{\"type\":\"error\",\"id\":1,\"code\":busy}",
+             "{\"type\":\"evaluate\",\"id\":1,\"benchmark\":\"x\","
+             "\"seed\":1,\"index\":0,\"tcv\":v1,\"config\":[]}",
+             "{\"type\":\"result\",\"id\":1,\"value\":1,\"feasible\":true,"
+             "\"spans\":[{\"name\":\"w\",\"cat\":\"w\",\"tid\":1,"
+             "\"ts\":1.5,\"dur\":0}]}",
+         }) {
+        EXPECT_FALSE(decode(frame, out, &err)) << frame;
+    }
+}
+
+TEST(ServeProtocol, IntFieldsOutOfRangeAreRejected)
+{
+    Message out;
+    std::string err;
+    // 2^32 + 1 and -(2^32 - 1) both wrap to n = 1 when narrowed, which
+    // would slip a huge batch under the kMaxBatch cap.
+    for (const char* n : {"4294967297", "-4294967295", "2147483648",
+                          "99999999999999999999"}) {
+        std::string frame = "{\"type\":\"suggest\",\"id\":1,"
+                            "\"session\":\"s\",\"n\":" +
+                            std::string(n) + "}";
+        EXPECT_FALSE(decode(frame, out, &err)) << frame;
+    }
+    EXPECT_FALSE(decode("{\"type\":\"suggest\",\"id\":18446744073709551616,"
+                        "\"session\":\"s\",\"n\":1}",
+                        out, &err));
+    // The extremes that do fit are read exactly.
+    ASSERT_TRUE(decode("{\"type\":\"suggest\",\"id\":18446744073709551615,"
+                       "\"session\":\"s\",\"n\":-2147483648}",
+                       out, &err))
+        << err;
+    EXPECT_EQ(out.id, 18446744073709551615ULL);
+    EXPECT_EQ(out.n, std::numeric_limits<int>::min());
+}
+
+TEST(ServeProtocol, OnlyTopLevelKeysCount)
+{
+    Message out;
+    std::string err;
+    // A key nested inside an unknown field never shadows the frame's own.
+    ASSERT_TRUE(decode("{\"type\":\"suggest\",\"id\":1,"
+                       "\"extra\":{\"session\":\"evil\",\"n\":[9]},"
+                       "\"session\":\"s\",\"n\":1}",
+                       out, &err))
+        << err;
+    EXPECT_EQ(out.session, "s");
+    EXPECT_EQ(out.n, 1);
+    // Nor does a nested key stand in for a missing top-level one.
+    EXPECT_FALSE(decode("{\"type\":\"suggest\",\"id\":1,"
+                        "\"extra\":{\"session\":\"s\"},\"n\":1}",
+                        out, &err));
+    // Strings inside an unknown value may hold brackets, commas and
+    // escaped quotes without breaking the skip.
+    ASSERT_TRUE(decode("{\"type\":\"close\",\"id\":2,"
+                       "\"note\":[\"a]b\",\"c\\\"}d\",{\"e\":\",\"}],"
+                       "\"session\":\"s\"}",
+                       out, &err))
+        << err;
+    EXPECT_EQ(out.session, "s");
 }
 
 /** A frame of type t with the request id most pins share. */
